@@ -23,7 +23,7 @@ from .errors import (
     SolverError,
     TrainingError,
 )
-from .fem import solve_elastic, solve_heat, deform_mesh, energy_balance
+from .fem import energy_balance
 from .geometry import ShapeFamily, place_prism, write_polygon_csv
 from .mesh import build_mesh, mesh_quality, write_mesh_text
 from .pipeline import (
@@ -165,16 +165,10 @@ def _cmd_solve(cfg, args) -> int:
           f"b {tuple(round(v, 6) for v in sig.b)}, w {sig.w:.4f} rad/m, "
           f"fit rmse {sig.fit_rmse_rel:.2e}")
     if args.energy:
-        geom = place_prism(tumor_shape(cfg, family, args.n), cfg.tissue)
-        mesh = build_mesh(geom, refinement_spec(cfg, family, args.level))
-        u, _ = solve_elastic(mesh, cfg.elastic)
-        moved = deform_mesh(mesh, u)
         thermal = cfg.thermal
         if args.ambient is not None:
             thermal = dataclasses.replace(thermal, t_ambient=args.ambient)
-        field, _ = solve_heat(moved, thermal, method=cfg.solver.thermal_method,
-                              tol=cfg.solver.tol)
-        bal = energy_balance(field, thermal)
+        bal = energy_balance(result.field, thermal)
         print(f"  energy: generated {bal.generated_w:.6f} W, "
               f"out(top) {bal.outflow_top_w:.6f} W, out(bottom) {bal.outflow_bottom_w:.6f} W, "
               f"residual {bal.residual_rel:.2e}")

@@ -19,6 +19,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -495,30 +496,29 @@ def run_sweep(
     skipped = tuple(model_id(family, n) for n in orders if n not in pending)
     solved, failed = [], []
 
-    def finish(n: int, result: ModelResult | None, message: str | None) -> None:
+    def finish(n: int, solve) -> None:
+        """Run or collect one model's solve and record its outcome."""
         mid = model_id(family, n)
-        if result is not None:
+        try:
+            result = solve()
+        except Exception as exc:  # recorded per model; sweep continues
+            message = f"{type(exc).__name__}: {exc}"
+            manifest.record_error(mid, family, n, message)
+            failed.append((mid, message))
+        else:
             artifacts = _write_model_artifacts(out_dir, result)
             manifest.record_ok(result, artifacts)
             solved.append(mid)
-        else:
-            manifest.record_error(mid, family, n, message)
-            failed.append((mid, message))
         manifest.save()
 
     if workers > 1 and len(pending) > 1:
-        jobs = [(cfg, family, n) for n in pending]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for n, outcome in zip(pending, pool.map(_solve_job, jobs)):
-                finish(n, outcome, None)
+            futures = [pool.submit(_solve_job, (cfg, family, n)) for n in pending]
+            for n, future in zip(pending, futures):
+                finish(n, future.result)
     else:
         for n in pending:
-            try:
-                result = run_model(cfg, family, n)
-            except Exception as exc:  # recorded per model; sweep continues
-                finish(n, None, f"{type(exc).__name__}: {exc}")
-            else:
-                finish(n, result, None)
+            finish(n, partial(_solve_job, (cfg, family, n)))
 
     rows = []
     feats, targets = [], []
@@ -815,7 +815,9 @@ def make_figures(cfg: StudyConfig, families=None) -> tuple:
         )
 
         # --- centerline profile overlay
+        # a slice holding none of the overlay orders shows its two end orders
         chosen = [n for n in PROFILE_OVERLAY_ORDERS if n in ns]
+        chosen = chosen or sorted({min(ns), max(ns)})
         series, first_x = [], None
         for n in chosen:
             entry = manifest.models[model_id(family, n)]

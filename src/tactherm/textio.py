@@ -9,6 +9,7 @@ and writes go through a temp file + rename.
 from __future__ import annotations
 
 import os
+import secrets
 from pathlib import Path
 
 
@@ -22,12 +23,19 @@ def fmt(value) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to `path` via a sibling temp file and atomic rename."""
+    """Write text to `path` via a uniquely named sibling temp file and atomic
+    rename; the temp file is removed if the write fails."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "x")  # exclusive create: never reuses another writer's file
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -2,9 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tactherm
 import tactherm.cli as cli
 import tactherm.pipeline as pipeline
 from tactherm.errors import SolverError
@@ -17,6 +22,7 @@ from tactherm.pipeline import (
 )
 
 TINY_LADDER = ((5, 3, 2, 2), (6, 4, 2, 2))
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.fixture()
@@ -136,3 +142,34 @@ def test_out_flag_overrides_directory(tiny_cfg_path, tmp_path):
     assert cli.main(["--config", str(tiny_cfg_path), "--out", str(alt),
                      "sweep", "--family", "polygon"]) == 0
     assert (alt / "dataset_polygon.csv").exists()
+
+
+def _fresh_env(**preset):
+    """Environment for a fresh interpreter that imports this tactherm source,
+    with the BLAS thread variables unset except those given."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    src = str(Path(tactherm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(preset)
+    return env
+
+
+@pytest.mark.parametrize("preset, expected", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")])
+def test_import_defaults_blas_to_one_thread(preset, expected):
+    code = "import os, tactherm; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(**preset),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == expected
+
+
+def test_sweep_dataset_identical_across_worker_counts(tiny_cfg_path, tmp_path):
+    datasets = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        subprocess.run(
+            [sys.executable, "-m", "tactherm.cli", "--config", str(tiny_cfg_path),
+             "--out", str(out), "sweep", "--family", "star", "--workers", str(workers)],
+            env=_fresh_env(), capture_output=True, timeout=300, check=True,
+        )
+        datasets.append((out / "dataset_star.csv").read_bytes())
+    assert datasets[0] == datasets[1]

@@ -2,7 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse import identity
+from scipy.sparse.linalg import splu
 
+import tactherm.fem as fem
 from tactherm.errors import (
     DeformationError,
     ParameterError,
@@ -137,6 +140,38 @@ def test_pcg_and_direct_agree():
     assert sa.iterations > 0
     assert sb.iterations == 0
     np.testing.assert_allclose(a.values, b.values, atol=1e-7)
+
+
+def reduced_elastic_system(monkeypatch):
+    """The reduced (K_ff, rhs) that solve_elastic hands to the SPD solver."""
+    systems = []
+    real = fem._solve_spd
+
+    def capture(K_ff, rhs, **kwargs):
+        systems.append((K_ff, rhs))
+        return real(K_ff, rhs, **kwargs)
+
+    monkeypatch.setattr(fem, "_solve_spd", capture)
+    solve_elastic(decagon_mesh(factor=1, nx=6, ny=3, nz=3), ElasticParams())
+    return systems[0]
+
+
+def test_direct_solve_matches_sparse_lu(monkeypatch):
+    K_ff, rhs = reduced_elastic_system(monkeypatch)
+    x, iters, res = fem._solve_spd(K_ff, rhs, method="direct", tol=1e-10)
+    reference = splu(K_ff.tocsc()).solve(rhs)
+    assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+    assert iters == 0
+    assert res < 1e-12
+
+
+def test_direct_solve_rejects_indefinite_system(monkeypatch):
+    K_ff, rhs = reduced_elastic_system(monkeypatch)
+    # shifting by the mean eigenvalue (trace / n) leaves eigenvalues of both signs
+    shift = K_ff.diagonal().mean()
+    indefinite = (K_ff - shift * identity(K_ff.shape[0])).tocsr()
+    with pytest.raises(SingularSystemError):
+        fem._solve_spd(indefinite, rhs, method="direct", tol=1e-10)
 
 
 def test_pcg_nonconvergence_raises_with_stats():

@@ -146,20 +146,21 @@ def test_config_change_invalidates_resume(tmp_path):
 
 def test_sweep_records_failures_and_continues(tmp_path):
     # star base area below the n=12 feasibility floor but above the n<=11 one:
-    # exactly one model of the sweep fails, the rest complete.
-    cfg = dataclasses.replace(
-        tiny_config(tmp_path / "out", stop=12),
-        geometry=dataclasses.replace(StudyConfig().geometry, base_area_mm2=310.0),
-    )
-    result = run_sweep(cfg, STAR)
-    assert len(result.failed) == 1
-    assert result.failed[0][0] == "star-n012"
-    assert len(result.solved) == 9
-    assert result.dataset.n_rows == 9
-    with pytest.raises(ArtifactError) as err:
-        load_dataset(cfg, STAR)
-    assert "star-n012" in str(err.value)
-    assert err.value.missing == ["star-n012"]
+    # exactly one model of the sweep fails, the rest complete, serial or pooled.
+    for workers in (1, 2):
+        cfg = dataclasses.replace(
+            tiny_config(tmp_path / f"workers{workers}", stop=12),
+            geometry=dataclasses.replace(StudyConfig().geometry, base_area_mm2=310.0),
+        )
+        result = run_sweep(cfg, STAR, workers=workers)
+        assert len(result.failed) == 1
+        assert result.failed[0][0] == "star-n012"
+        assert len(result.solved) == 9
+        assert result.dataset.n_rows == 9
+        with pytest.raises(ArtifactError) as err:
+            load_dataset(cfg, STAR)
+        assert "star-n012" in str(err.value)
+        assert err.value.missing == ["star-n012"]
 
 
 def test_mesh_study_reports_level_agreement(tmp_path):
@@ -242,6 +243,15 @@ def test_make_figures_complete_and_deterministic(tmp_path):
     box_lines = (tmp_path / "out" / "figures" / "fig_box_star.csv").read_text().strip().splitlines()
     assert len(box_lines) == 1 + 10
     assert box_lines[0] == "coefficient,min,q1,median,q3,max"
+
+
+def test_make_figures_without_overlay_orders_uses_end_orders(tmp_path):
+    cfg = dataclasses.replace(tiny_config(tmp_path / "out"), sweep=SweepSpec(7, 7, 14))
+    run_sweep(cfg, POLY)
+    run_sweep(cfg, STAR)
+    make_figures(cfg)
+    profiles = (tmp_path / "out" / "figures" / "fig_profiles_star.csv").read_text()
+    assert profiles.splitlines()[0] == "x_mm,t_c_n007,t_c_n014"
 
 
 def test_make_figures_requires_artifacts(tmp_path):
