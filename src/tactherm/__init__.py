@@ -13,7 +13,8 @@ import os
 # badly when each pool worker also starts its own threads, and its bits
 # depend on the thread count. A BLAS reads these variables when it is
 # loaded, so they must be set before any submodule imports numpy or scipy.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 del _var
 

@@ -7,8 +7,7 @@ elasticity with the bottom fully fixed and a vertical compression imposed on
 the top. Coupling is one-way: solve elasticity, move the nodes, then solve
 heat on the deformed mesh.
 
-Material fields accept two modes: "binary" uses the per-element centroid
-labels; "fraction" blends tissue/tumor properties by the exact per-element
+Material properties blend tissue and tumor values by the exact per-element
 tumor volume fraction, which keeps the injected power exact and makes results
 vary smoothly with the shape parameter.
 """
@@ -29,8 +28,7 @@ from .errors import (
     SingularSystemError,
     SolverError,
 )
-from .mesh import FaceTag, Material, TetMesh
-from .textio import write_csv
+from .mesh import FaceTag, TetMesh
 
 MM = 1e-3  # mesh lengths are mm; assembly is SI
 
@@ -118,20 +116,11 @@ def _gradients(nodes_m: np.ndarray, tets: np.ndarray):
     return grads, vol
 
 
-def element_mix(mesh: TetMesh, mode: str) -> np.ndarray:
-    """Per-element tumor weight in [0, 1] under the chosen material mode."""
-    if mode == "binary":
-        return (mesh.material == Material.TUMOR).astype(float)
-    if mode == "fraction":
-        return mesh.tumor_frac
-    raise ParameterError(f"unknown material mode {mode!r}")
-
-
-def _assemble_thermal(mesh: TetMesh, p: ThermalParams, mode: str):
+def _assemble_thermal(mesh: TetMesh, p: ThermalParams):
     """Full stiffness (volume + Robin) and load vector, no Dirichlet yet."""
     n = mesh.n_nodes
     grads, vol = _gradients(mesh.nodes * MM, mesh.tets)
-    mix = element_mix(mesh, mode)
+    mix = mesh.tumor_frac
     k_e = p.k_tissue + (p.k_tumor - p.k_tissue) * mix
     local = np.einsum("e,eia,eib->eab", k_e * vol, grads, grads)
     rows = np.repeat(mesh.tets, 4, axis=1).ravel()
@@ -234,7 +223,6 @@ def solve_heat(
     mesh: TetMesh,
     params: ThermalParams,
     *,
-    material_mode: str = "fraction",
     method: str = "pcg",
     tol: float = 1e-10,
     max_iter: int | None = None,
@@ -249,7 +237,7 @@ def solve_heat(
     bottom = mesh.boundary_nodes(FaceTag.BOTTOM)
     if bottom.size == 0 and params.h_top == 0.0:
         raise SingularSystemError("no Dirichlet nodes and h_top = 0: T only fixed up to a constant")
-    K, f = _assemble_thermal(mesh, params, material_mode)
+    K, f = _assemble_thermal(mesh, params)
 
     fixed = np.zeros(mesh.n_nodes, dtype=bool)
     fixed[bottom] = True
@@ -279,9 +267,7 @@ class EnergyBalance:
         return abs(self.generated_w - total_out) / abs(self.generated_w)
 
 
-def energy_balance(
-    field: ScalarField, params: ThermalParams, *, material_mode: str = "fraction"
-) -> EnergyBalance:
+def energy_balance(field: ScalarField, params: ThermalParams) -> EnergyBalance:
     """Generated power vs boundary outflow (W).
 
     Top outflow integrates the Robin flux h(T - t_ambient); bottom outflow is
@@ -289,12 +275,11 @@ def energy_balance(
     to the linear-solver residual when assembly is consistent.
     """
     mesh = field.mesh
-    K, f = _assemble_thermal(mesh, params, material_mode)
+    K, f = _assemble_thermal(mesh, params)
     T = field.values
 
     _, vol = _gradients(mesh.nodes * MM, mesh.tets)
-    mix = element_mix(mesh, material_mode)
-    generated = float(params.q_tumor * np.dot(mix, vol))
+    generated = float(params.q_tumor * np.dot(mesh.tumor_frac, vol))
 
     top = mesh.faces[mesh.face_tags == FaceTag.TOP]
     q = mesh.nodes[top] * MM
@@ -312,7 +297,6 @@ def solve_elastic(
     mesh: TetMesh,
     params: ElasticParams,
     *,
-    material_mode: str = "fraction",
     method: str = "direct",
     tol: float = 1e-10,
 ) -> tuple[VectorField, SolveStats]:
@@ -329,7 +313,7 @@ def solve_elastic(
     t0 = time.perf_counter()
     n = mesh.n_nodes
     grads, vol = _gradients(mesh.nodes, mesh.tets)  # mm units cancel: no loads
-    mix = element_mix(mesh, material_mode)
+    mix = mesh.tumor_frac
     e_mod = params.e_tissue * (1.0 + (params.tumor_stiffness_factor - 1.0) * mix)
     lam = e_mod * params.poisson / ((1.0 + params.poisson) * (1.0 - 2.0 * params.poisson))
     mu = e_mod / (2.0 * (1.0 + params.poisson))
@@ -388,13 +372,6 @@ def deform_mesh(mesh: TetMesh, u: VectorField) -> TetMesh:
     return moved
 
 
-def divergence_volume_change(u: VectorField) -> float:
-    """First-order volume change integral ∫ div(u) dV in mm^3."""
-    grads, vol = _gradients(u.mesh.nodes, u.mesh.tets)
-    div = np.einsum("eia,eai->e", grads, u.values[u.mesh.tets])
-    return float(np.dot(div, vol))
-
-
 def surface_values(field: ScalarField, points_xy: np.ndarray, tag=FaceTag.TOP) -> np.ndarray:
     """Interpolate the field at (x, y) points on a tagged boundary surface.
 
@@ -426,89 +403,3 @@ def surface_values(field: ScalarField, points_xy: np.ndarray, tag=FaceTag.TOP) -
     tvals = field.values[tris[hit]]
     w = np.stack([w0[idx, hit], w1[idx, hit], w2[idx, hit]], axis=1)
     return np.einsum("pi,pi->p", w, tvals)
-
-
-def surface_slice(
-    field: ScalarField, axis: str, offset_mm: float, *, shape=(121, 51)
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample the field on a regular grid in a coordinate plane.
-
-    axis: 'x', 'y' or 'z' (the plane normal); offset in mm. Returns
-    (coords_u, coords_v, T) where u, v are the remaining axes in x<y<z order.
-    Grid points outside the (possibly deformed) mesh come back as NaN.
-    """
-    mesh = field.mesh
-    ax = {"x": 0, "y": 1, "z": 2}.get(axis)
-    if ax is None:
-        raise ParameterError(f"axis must be x, y or z, not {axis!r}")
-    lo = mesh.nodes.min(axis=0)
-    hi = mesh.nodes.max(axis=0)
-    if not lo[ax] <= offset_mm <= hi[ax]:
-        raise ParameterError(
-            f"plane {axis}={offset_mm} outside mesh range [{lo[ax]}, {hi[ax]}]"
-        )
-    uax, vax = [d for d in range(3) if d != ax]
-    us = np.linspace(lo[uax], hi[uax], shape[0])
-    vs = np.linspace(lo[vax], hi[vax], shape[1])
-    pts = np.empty((shape[0] * shape[1], 3))
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
-    pts[:, uax] = uu.ravel()
-    pts[:, vax] = vv.ravel()
-    pts[:, ax] = offset_mm
-    vals = _interpolate_points(field, pts)
-    return us, vs, vals.reshape(shape)
-
-
-def _interpolate_points(field: ScalarField, pts: np.ndarray) -> np.ndarray:
-    """Barycentric interpolation at arbitrary points; NaN when not inside any tet."""
-    mesh = field.mesh
-    lo = mesh.nodes.min(axis=0)
-    hi = mesh.nodes.max(axis=0)
-    span = np.maximum(hi - lo, 1e-12)
-    nbins = np.maximum(1, np.minimum(40, (mesh.n_tets // 64) ** (1 / 3))).astype(int)
-    nbins = np.array([nbins, nbins, nbins]).ravel()
-
-    p = mesh.nodes[mesh.tets]
-    tet_lo = p.min(axis=1)
-    tet_hi = p.max(axis=1)
-    cell_lo = ((tet_lo - lo) / span * nbins).astype(int).clip(0, nbins - 1)
-    cell_hi = ((tet_hi - lo) / span * nbins).astype(int).clip(0, nbins - 1)
-    buckets: dict[tuple, list] = {}
-    for t in range(mesh.n_tets):
-        for i in range(cell_lo[t, 0], cell_hi[t, 0] + 1):
-            for j in range(cell_lo[t, 1], cell_hi[t, 1] + 1):
-                for k in range(cell_lo[t, 2], cell_hi[t, 2] + 1):
-                    buckets.setdefault((i, j, k), []).append(t)
-
-    out = np.full(pts.shape[0], np.nan)
-    cells = ((pts - lo) / span * nbins).astype(int).clip(0, nbins - 1)
-    for i, pt in enumerate(pts):
-        cand = buckets.get(tuple(cells[i]))
-        if not cand:
-            continue
-        cand = np.array(cand)
-        verts = mesh.nodes[mesh.tets[cand]]
-        jac = np.stack(
-            [verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0], verts[:, 3] - verts[:, 0]],
-            axis=2,
-        )
-        try:
-            bary123 = np.linalg.solve(jac, (pt - verts[:, 0])[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            continue
-        bary = np.column_stack([1.0 - bary123.sum(axis=1), bary123])
-        ok = np.all(bary >= -1e-9, axis=1)
-        if np.any(ok):
-            t = cand[np.argmax(ok)]
-            w = bary[np.argmax(ok)]
-            out[i] = float(np.dot(w, field.values[mesh.tets[t]]))
-    return out
-
-
-def write_field_csv(field: ScalarField, path) -> None:
-    """CSV export: node_index, x_mm, y_mm, z_mm, T_celsius."""
-    rows = (
-        (i, x, y, z, t)
-        for i, ((x, y, z), t) in enumerate(zip(field.mesh.nodes, field.values))
-    )
-    write_csv(path, ["node_index", "x_mm", "y_mm", "z_mm", "T_celsius"], rows)

@@ -268,16 +268,3 @@ def write_report_csv(report: EvalReport, path) -> None:
     ]
     write_csv(path, ["metric", "value"], rows)
 
-
-def report_text(report: EvalReport, title: str = "evaluation") -> str:
-    return "\n".join(
-        [
-            f"{title} ({report.count} samples)",
-            f"  RMSE             {report.rmse:.6e}",
-            f"  MSE              {report.mse:.6e}",
-            f"  mean error       {report.mean_err:+.6e}",
-            f"  variance         {report.variance:.6e}",
-            f"  std              {report.std:.6e}",
-            f"  rounded accuracy {report.rounded_accuracy:.4f}",
-        ]
-    )

@@ -4,7 +4,8 @@ Runs the two shape sweeps (n = 3..100 per family), the mesh-independence
 study, the RBF learning stage, and figure generation, all driven by a single
 JSON-serializable StudyConfig. Every artifact is written atomically with
 deterministic formatting, and a manifest makes sweeps resumable: models
-already completed under the same config hash are not solved again.
+already completed under the same config and BLAS thread setting are not
+solved again.
 
 Models are independent jobs (optionally run in a process pool); the manifest
 has a single writer and results are reduced in model-id order, so outputs are
@@ -16,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import svgplot
+from . import BLAS_THREAD_VARS, svgplot
 from .errors import ArtifactError, ParameterError
 from .fem import (
     ElasticParams,
@@ -33,7 +35,6 @@ from .fem import (
     deform_mesh,
     solve_elastic,
     solve_heat,
-    write_field_csv,
 )
 from .geometry import ShapeFamily, TissueDims, TumorShape, place_prism
 from .learn import (
@@ -55,7 +56,7 @@ from .learn import (
 )
 from .mesh import RefinementSpec, build_mesh
 from .signature import FourierSignature, extract_profile, fit_fourier4, max_surface_temp
-from .textio import atomic_write_text, fmt, read_csv, write_csv
+from .textio import atomic_write_text, read_csv, write_csv
 
 __all__ = [
     "GeometryDefaults",
@@ -88,6 +89,12 @@ __all__ = [
 
 PROFILE_OVERLAY_ORDERS = (3, 4, 5, 10, 20, 50, 100)
 CONTOUR_MODEL_N = 10
+# section.csv keeps the nodes within this distance of the mid-plane y = Y/2:
+# the slab the contour figure resamples
+SECTION_HALF_WIDTH_MM = 2.5
+MODEL_ARTIFACTS = ("profile", "section")
+PROFILE_COLUMNS = ["x_m", "t_c"]
+SECTION_COLUMNS = ["x_mm", "z_mm", "t_c"]
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +259,14 @@ def save_config(cfg: StudyConfig, path) -> None:
 
 
 def config_hash(cfg: StudyConfig) -> str:
-    """Canonical digest; sweeps resume only under an identical config."""
-    canon = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    """Canonical digest of the config and the BLAS thread setting; sweeps
+    resume only when both are identical, because the banded Cholesky factor's
+    last bits depend on the BLAS thread count."""
+    doc = {
+        "config": config_to_dict(cfg),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -378,11 +391,17 @@ class RunManifest:
     @classmethod
     def load(cls, path, cfg_hash: str) -> "RunManifest":
         path = Path(path)
-        if path.exists():
+        if not path.exists():
+            return cls(path, cfg_hash)
+        try:
             data = json.loads(path.read_text())
-            if data.get("config_hash") == cfg_hash:
-                return cls(path, cfg_hash, data.get("models", {}))
-        return cls(path, cfg_hash)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ArtifactError(f"manifest {path} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict) or not isinstance(data.get("models", {}), dict):
+            raise ArtifactError(f"manifest {path} is not a JSON object of models")
+        if data.get("config_hash") != cfg_hash:
+            return cls(path, cfg_hash)
+        return cls(path, cfg_hash, data.get("models", {}))
 
     def save(self) -> None:
         doc = {"config_hash": self.cfg_hash, "models": self.models}
@@ -415,18 +434,15 @@ class RunManifest:
             "message": message,
         }
 
-    def missing_artifacts(self, out_dir) -> list:
-        out_dir = Path(out_dir)
-        missing = []
-        for mid in sorted(self.models):
-            entry = self.models[mid]
-            if entry.get("status") != "ok":
-                continue
-            for rel in entry.get("artifacts", {}).values():
-                if not (out_dir / rel).exists():
-                    missing.append(mid)
-                    break
-        return missing
+    def has_artifacts(self, mid: str, out_dir) -> bool:
+        """True when the model completed and all its artifact files exist."""
+        if not self.completed(mid):
+            return False
+        arts = self.models[mid].get("artifacts", {})
+        return all(
+            kind in arts and (Path(out_dir) / arts[kind]).exists()
+            for kind in MODEL_ARTIFACTS
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -455,18 +471,26 @@ def _solve_job(args) -> ModelResult:
     return run_model(cfg, family, n)
 
 
-def _write_model_artifacts(out_dir: Path, result: ModelResult) -> dict:
+def _write_model_artifacts(out_dir: Path, result: ModelResult, y_mid_mm: float) -> dict:
+    """Centerline profile and mid-plane section of one model; one path per
+    MODEL_ARTIFACTS kind."""
     rel_dir = Path("models") / result.model_id
     (out_dir / rel_dir).mkdir(parents=True, exist_ok=True)
-    field_rel = rel_dir / "field.csv"
     profile_rel = rel_dir / "profile.csv"
-    write_field_csv(result.field, out_dir / field_rel)
+    section_rel = rel_dir / "section.csv"
     write_csv(
         out_dir / profile_rel,
-        ["x_m", "t_c"],
+        PROFILE_COLUMNS,
         list(zip(result.profile_x_m, result.profile_t_c)),
     )
-    return {"field": str(field_rel), "profile": str(profile_rel)}
+    nodes = result.field.mesh.nodes
+    keep = np.abs(nodes[:, 1] - y_mid_mm) <= SECTION_HALF_WIDTH_MM
+    write_csv(
+        out_dir / section_rel,
+        SECTION_COLUMNS,
+        zip(nodes[keep, 0], nodes[keep, 2], result.field.values[keep]),
+    )
+    return {"profile": str(profile_rel), "section": str(section_rel)}
 
 
 def run_sweep(
@@ -484,15 +508,10 @@ def run_sweep(
     save_config(cfg, out_dir / "config.json")
     manifest = RunManifest.load(out_dir / "manifest.json", config_hash(cfg))
 
-    def resumable(n: int) -> bool:
-        mid = model_id(family, n)
-        if not manifest.completed(mid):
-            return False
-        arts = manifest.models[mid].get("artifacts", {})
-        return bool(arts) and all((out_dir / rel).exists() for rel in arts.values())
-
     orders = cfg.sweep.values()
-    pending = [n for n in orders if not resumable(n)]
+    pending = [
+        n for n in orders if not manifest.has_artifacts(model_id(family, n), out_dir)
+    ]
     skipped = tuple(model_id(family, n) for n in orders if n not in pending)
     solved, failed = [], []
 
@@ -506,7 +525,7 @@ def run_sweep(
             manifest.record_error(mid, family, n, message)
             failed.append((mid, message))
         else:
-            artifacts = _write_model_artifacts(out_dir, result)
+            artifacts = _write_model_artifacts(out_dir, result, cfg.tissue.y_len / 2.0)
             manifest.record_ok(result, artifacts)
             solved.append(mid)
         manifest.save()
@@ -557,11 +576,15 @@ def load_dataset(cfg: StudyConfig, family: ShapeFamily) -> Dataset:
     want = {model_id(family, n): n for n in cfg.sweep.values()}
     feats, targets, seen = [], [], set()
     cols = {name: header.index(name) for name in FEATURE_NAMES}
-    for row in rows:
-        mid = row[0]
-        seen.add(mid)
-        feats.append([float(row[cols[name]]) for name in FEATURE_NAMES])
-        targets.append(float(row[2]))
+    for lineno, row in enumerate(rows, start=2):
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, expected {len(header)}")
+            feats.append([float(row[cols[name]]) for name in FEATURE_NAMES])
+            targets.append(float(row[2]))
+        except ValueError as exc:
+            raise ArtifactError(f"malformed row {lineno} in {csv_path}: {exc}") from exc
+        seen.add(row[0])
     missing = sorted(set(want) - seen)
     if missing:
         raise ArtifactError(
@@ -743,10 +766,19 @@ def run_learning(
 # figures
 
 
-def _read_profile_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    _, rows = read_csv(path)
-    data = np.array([[float(v) for v in row] for row in rows])
-    return data[:, 0], data[:, 1]
+def _read_float_table(path: Path, columns: list) -> np.ndarray:
+    """A numeric CSV written by write_csv as a (rows, columns) array."""
+    try:
+        header, rows = read_csv(path)
+        if header != columns:
+            raise ValueError(f"header {header}, expected {columns}")
+        if not rows:
+            raise ValueError("no data rows")
+        if any(len(row) != len(columns) for row in rows):
+            raise ValueError(f"a row does not have {len(columns)} fields")
+        return np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:
+        raise ArtifactError(f"malformed table {path}: {exc}") from exc
 
 
 def _idw_resample(px, pz, pt, grid_x, grid_z) -> np.ndarray:
@@ -771,7 +803,11 @@ def make_figures(cfg: StudyConfig, families=None) -> tuple:
     orders = cfg.sweep.values()
 
     manifest = RunManifest.load(out_dir / "manifest.json", config_hash(cfg))
-    missing = manifest.missing_artifacts(out_dir)
+    missing = [
+        mid
+        for mid in sorted(manifest.models)
+        if manifest.completed(mid) and not manifest.has_artifacts(mid, out_dir)
+    ]
     if missing:
         raise ArtifactError(
             f"artifacts missing for {len(missing)} completed models: "
@@ -821,14 +857,8 @@ def make_figures(cfg: StudyConfig, families=None) -> tuple:
         series, first_x = [], None
         for n in chosen:
             entry = manifest.models[model_id(family, n)]
-            rel = entry.get("artifacts", {}).get("profile")
-            path = out_dir / rel if rel else None
-            if path is None or not path.exists():
-                raise ArtifactError(
-                    f"profile artifact missing for {model_id(family, n)}",
-                    missing=[model_id(family, n)],
-                )
-            x_m, t_c = _read_profile_csv(path)
+            path = out_dir / entry["artifacts"]["profile"]
+            x_m, t_c = _read_float_table(path, PROFILE_COLUMNS).T
             first_x = x_m if first_x is None else first_x
             series.append((f"n={n}", list(x_m * 1e3), list(t_c)))
         name = f"fig_profiles_{family.value}"
@@ -886,16 +916,11 @@ def make_figures(cfg: StudyConfig, families=None) -> tuple:
         raise ArtifactError(f"no completed models for {contour_family.value}")
     pick = min(done, key=lambda n: (abs(n - CONTOUR_MODEL_N), n))
     mid = model_id(contour_family, pick)
-    entry = manifest.models[mid]
-    field_path = out_dir / entry["artifacts"]["field"]
-    header, rows = read_csv(field_path)
-    data = np.array([[float(v) for v in row] for row in rows])
-    x, y, z, t = data[:, 1], data[:, 2], data[:, 3], data[:, 4]
-    y_mid = cfg.tissue.y_len / 2.0
-    keep = np.abs(y - y_mid) <= 2.5
+    path = out_dir / manifest.models[mid]["artifacts"]["section"]
+    x, z, t = _read_float_table(path, SECTION_COLUMNS).T
     grid_x = np.linspace(x.min(), x.max(), 61)
-    grid_z = np.linspace(z[keep].min(), z[keep].max(), 26)
-    vals = _idw_resample(x[keep], z[keep], t[keep], grid_x, grid_z)
+    grid_z = np.linspace(z.min(), z.max(), 26)
+    vals = _idw_resample(x, z, t, grid_x, grid_z)
     contour_rows = [
         [grid_x[i], grid_z[j], vals[i, j]]
         for i in range(len(grid_x))

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import DegenerateFitError, ParameterError
 from .fem import ScalarField, surface_values
 from .mesh import FaceTag
-from .textio import write_csv
 
 N_HARMONICS = 4
 
@@ -193,8 +192,3 @@ def max_surface_temp(profile: SurfaceProfile) -> tuple[float, float]:
     i = int(np.argmax(profile.temps))
     return float(profile.positions[i]), float(profile.temps[i])
 
-
-def write_profile_csv(profile: SurfaceProfile, path) -> None:
-    write_csv(
-        path, ["x_m", "T_celsius"], zip(profile.positions, profile.temps)
-    )

@@ -90,6 +90,21 @@ def test_sweep_learn_figures_flow(tiny_cfg_path, tmp_path, capsys):
     assert "sweep polygon: 4 solved" in out
 
 
+def test_damaged_artifacts_exit_3(tiny_cfg_path, tmp_path, capsys):
+    c = str(tiny_cfg_path)
+    assert cli.main(["--config", c, "sweep", "--family", "polygon"]) == 0
+    manifest = tmp_path / "out" / "manifest.json"
+    manifest.write_text(manifest.read_text()[:100])
+    assert cli.main(["--config", c, "figures"]) == 3
+    assert "manifest" in capsys.readouterr().err
+
+    dataset = tmp_path / "out" / "dataset_polygon.csv"
+    header, first, *rest = dataset.read_text().splitlines()
+    dataset.write_text("\n".join([header, first.replace(",", ",x,", 1), *rest]) + "\n")
+    assert cli.main(["--config", c, "learn", "--family", "polygon"]) == 3
+    assert "malformed row 2" in capsys.readouterr().err
+
+
 def test_mesh_study_command(tiny_cfg_path, capsys):
     assert cli.main(["--config", str(tiny_cfg_path), "mesh-study",
                      "--family", "star", "--n", "4"]) == 0

@@ -19,7 +19,6 @@ from tactherm.learn import (
     load_model,
     predict,
     rank_correlation,
-    report_text,
     save_model,
     split_dataset,
     train_rbf,
@@ -209,5 +208,3 @@ def test_report_outputs(tmp_path):
     text = (tmp_path / "r.csv").read_text().splitlines()
     assert text[0] == "metric,value"
     assert text[1].startswith("rmse,")
-    pretty = report_text(rep, title="test split")
-    assert "test split" in pretty and "rounded accuracy" in pretty

@@ -98,9 +98,10 @@ def test_sweep_solves_resumes_and_builds_dataset(tmp_path):
     assert list(first.dataset.targets) == [3.0, 4.0, 5.0, 6.0]
     assert first.csv_path.exists()
     for n in (3, 4, 5, 6):
-        mid = model_id(POLY, n)
-        assert (tmp_path / "out" / "models" / mid / "field.csv").exists()
-        assert (tmp_path / "out" / "models" / mid / "profile.csv").exists()
+        model_dir = tmp_path / "out" / "models" / model_id(POLY, n)
+        assert (model_dir / "section.csv").exists()
+        assert (model_dir / "profile.csv").exists()
+        assert not (model_dir / "field.csv").exists()
 
     again = run_sweep(cfg, POLY)
     assert not again.solved and len(again.skipped) == 4
@@ -132,6 +133,39 @@ def test_sweep_resolves_models_with_missing_artifacts(tmp_path):
     assert healed.solved == (model_id(POLY, 5),)
     assert len(healed.skipped) == 3
     assert victim.exists()
+
+
+def test_blas_thread_setting_invalidates_resume(tmp_path, monkeypatch):
+    # the banded factor's last bits depend on the BLAS thread count, so rows
+    # solved under another setting must not be mixed into a resumed sweep
+    cfg = tiny_config(tmp_path / "out")
+    run_sweep(cfg, POLY)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    redo = run_sweep(cfg, POLY)
+    assert len(redo.solved) == 4 and not redo.skipped
+
+
+def test_damaged_manifest_raises_artifact_error(tmp_path):
+    cfg = tiny_config(tmp_path / "out")
+    run_sweep(cfg, POLY)
+    manifest = tmp_path / "out" / "manifest.json"
+    text = manifest.read_text()
+    for damaged in (text[: len(text) // 2], "[1, 2]\n"):
+        manifest.write_text(damaged)
+        with pytest.raises(ArtifactError, match="manifest"):
+            run_sweep(cfg, POLY)
+        with pytest.raises(ArtifactError, match="manifest"):
+            make_figures(cfg)
+
+
+def test_malformed_dataset_row_raises_artifact_error(tmp_path):
+    cfg = tiny_config(tmp_path / "out")
+    csv_path = run_sweep(cfg, POLY).csv_path
+    lines = csv_path.read_text().splitlines()
+    for bad_row in (lines[2].replace(",", ",oops,", 1), lines[2].rsplit(",", 3)[0]):
+        csv_path.write_text("\n".join(lines[:2] + [bad_row] + lines[3:]) + "\n")
+        with pytest.raises(ArtifactError, match="malformed row 3"):
+            load_dataset(cfg, POLY)
 
 
 def test_config_change_invalidates_resume(tmp_path):
@@ -267,6 +301,19 @@ def test_make_figures_requires_artifacts(tmp_path):
     with pytest.raises(ArtifactError) as err:
         make_figures(cfg)
     assert "star-n005" in err.value.missing
+    assert not (tmp_path / "out" / "figures").exists()
+
+
+def test_make_figures_requires_contour_section(tmp_path):
+    cfg = tiny_config(tmp_path / "out")
+    run_sweep(cfg, POLY)
+    run_sweep(cfg, STAR)
+    # the contour model is the first family's completed model closest to n=10
+    contour = model_id(POLY, 6)
+    (tmp_path / "out" / "models" / contour / "section.csv").unlink()
+    with pytest.raises(ArtifactError, match=contour) as err:
+        make_figures(cfg)
+    assert err.value.missing == [contour]
     assert not (tmp_path / "out" / "figures").exists()
 
 

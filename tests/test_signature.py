@@ -15,7 +15,6 @@ from tactherm.signature import (
     extract_profile,
     fit_fourier4,
     max_surface_temp,
-    write_profile_csv,
 )
 
 import oracles
@@ -147,11 +146,3 @@ def test_extract_profile_samples_spacing():
     np.testing.assert_allclose(prof.temps, prof.positions * 1e3, rtol=1e-10)
     with pytest.raises(ParameterError):
         extract_profile(field, samples=11)
-
-
-def test_profile_csv(tmp_path):
-    prof = synth_profile(REFERENCE, samples=61)
-    write_profile_csv(prof, tmp_path / "p.csv")
-    text = (tmp_path / "p.csv").read_text().splitlines()
-    assert text[0] == "x_m,T_celsius"
-    assert len(text) == 62
