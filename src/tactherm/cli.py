@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import logging
 import sys
 from pathlib import Path
 
@@ -264,6 +265,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # per-model progress of sweeps goes to stderr
+    logging.basicConfig(level=logging.INFO, format="%(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,6 +10,16 @@ heat on the deformed mesh.
 Material properties blend tissue and tumor values by the exact per-element
 tumor volume fraction, which keeps the injected power exact and makes results
 vary smoothly with the shape parameter.
+
+Both systems are assembled through a scatter plan built once per mesh
+topology (connectivity, boundary faces and their tags) and kept in a small
+per-process cache. The plan maps every element-matrix entry to a slot of the
+assembled matrix and holds the CSR structure of the reduced matrix K_ff, its
+reverse Cuthill-McKee order and the positions of its band. A solve computes
+the element entries as array expressions over all tets, sums them into the
+slots with one bincount, and gathers K_ff and the band from the slots. The
+models of a sweep share one topology, so only the first model pays for the
+symbolic work.
 """
 
 from __future__ import annotations
@@ -104,99 +114,241 @@ class SolveStats:
     wall_time: float  # seconds
 
 
-def _gradients(nodes_m: np.ndarray, tets: np.ndarray):
-    """Per-tet shape-function gradients (M,3,4) and volumes (M,), SI."""
-    p = nodes_m[tets]
-    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0]], axis=1)
-    vol = np.linalg.det(jac) / 6.0
-    inv = np.linalg.inv(jac)  # columns are grad(lambda_1..3)
-    grads = np.empty((tets.shape[0], 3, 4))
-    grads[:, :, 1:] = inv
-    grads[:, :, 0] = -inv.sum(axis=2)
-    return grads, vol
+def _gradients(nodes: np.ndarray, tets: np.ndarray):
+    """Shape-function gradients (4, 3, M) and volumes (M,) of every tet.
+
+    grads[a, i, e] is d(lambda_a)/d(x_i) on tet e; the tet index runs last so
+    that the element loops below vectorize over it. The inverse Jacobian is
+    taken in closed form: for edge rows r0, r1, r2 its columns,
+    grad(lambda_1..3), are (r1 x r2, r2 x r0, r0 x r1) / det.
+    """
+    p = nodes.T[:, tets.T]  # (3, 4, M)
+    r0, r1, r2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0]
+    grads = np.empty((4, 3, tets.shape[0]))
+    grads[1] = np.cross(r1, r2, axis=0)
+    grads[2] = np.cross(r2, r0, axis=0)
+    grads[3] = np.cross(r0, r1, axis=0)
+    det = np.einsum("ie,ie->e", r0, grads[1])
+    grads[1:] /= det
+    grads[0] = -grads[1:].sum(axis=0)
+    return grads, det / 6.0
 
 
-def _assemble_thermal(mesh: TetMesh, p: ThermalParams):
-    """Full stiffness (volume + Robin) and load vector, no Dirichlet yet."""
-    n = mesh.n_nodes
+@dataclass(frozen=True)
+class _ScatterPlan:
+    """Where every element-matrix entry of one mesh topology lands.
+
+    Slots are the distinct (row, col) positions of the assembled matrix. All
+    of it follows from the connectivity and the Dirichlet set, so the models
+    of a sweep, which share one topology, share one plan.
+    """
+
+    entry_slot: np.ndarray  # (entries,) slot of each element-matrix entry
+    rows: np.ndarray  # (slots,) matrix row of each slot
+    cols: np.ndarray  # (slots,) matrix column of each slot
+    free: np.ndarray  # (n,) bool, False on Dirichlet unknowns
+    ff_indptr: np.ndarray  # CSR structure of K_ff (free rows and columns)
+    ff_indices: np.ndarray
+    ff_slot: np.ndarray  # slot of each CSR entry of K_ff
+    perm: np.ndarray  # reverse Cuthill-McKee order of the free unknowns
+    band: int  # upper bandwidth of K_ff in that order
+    band_pos: np.ndarray  # flat index into the Fortran-order (band+1, n_free) array
+    band_slot: np.ndarray  # slot of each upper-triangle entry of K_ff
+
+    def assemble(self, entries: np.ndarray) -> np.ndarray:
+        """Slot values: the element entries summed in one fixed order."""
+        return np.bincount(self.entry_slot, weights=entries, minlength=self.rows.size)
+
+    def matvec(self, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """K @ x for the full matrix, Dirichlet rows and columns included."""
+        return np.bincount(self.rows, weights=vals * x[self.cols], minlength=self.free.size)
+
+    def k_ff(self, vals: np.ndarray) -> sp.csr_matrix:
+        n_free = self.perm.size
+        return sp.csr_matrix(
+            (vals[self.ff_slot], self.ff_indices, self.ff_indptr), shape=(n_free, n_free)
+        )
+
+
+def _build_plan(mesh: TetMesh, kind: str) -> _ScatterPlan:
+    """Scatter plan of the "thermal" system (one unknown per node, tets plus
+    Robin faces on TOP, bottom nodes fixed) or the "elastic" one (three per
+    node, bottom nodes fixed, u_z fixed on top)."""
+    n_nodes = mesh.n_nodes
+    bottom = mesh.boundary_nodes(FaceTag.BOTTOM)
+    groups = [mesh.tets]
+    if kind == "thermal":
+        bs = 1
+        groups.append(mesh.faces[mesh.face_tags == FaceTag.TOP])
+        fixed = bottom
+    else:
+        bs = 3
+        top = mesh.boundary_nodes(FaceTag.TOP)
+        fixed = np.concatenate([(3 * bottom[:, None] + np.arange(3)).ravel(), 3 * top + 2])
+    # node pair (a, b) of each tet and Robin face, the element index last
+    keys = np.concatenate([
+        (g.T[:, None, :].astype(np.int64) * n_nodes + g.T[None, :, :]).ravel() for g in groups
+    ])
+    pairs, pair_slot = np.unique(keys, return_inverse=True)
+    # slot s * bs^2 + i * bs + j holds component (i, j) of node pair s
+    comp = np.arange(bs * bs)
+    entry_slot = pair_slot
+    if bs > 1:  # element entries are ordered (a, i, b, j, tet)
+        entry_slot = pair_slot.reshape(4, 1, 4, 1, -1) * (bs * bs) + comp.reshape(1, bs, 1, bs, 1)
+    rows = (bs * (pairs // n_nodes)[:, None] + comp // bs).ravel()
+    cols = (bs * (pairs % n_nodes)[:, None] + comp % bs).ravel()
+
+    free = np.ones(bs * n_nodes, dtype=bool)
+    free[fixed] = False
+    n_free = int(free.sum())
+    index = np.cumsum(free) - 1
+    ff = np.flatnonzero(free[rows] & free[cols])
+    fr, fc = index[rows[ff]], index[cols[ff]]
+    order = np.argsort(fr * n_free + fc)
+    ff, fr, fc = ff[order], fr[order], fc[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(fr, minlength=n_free))])
+    pattern = sp.csr_matrix((np.ones(ff.size), fc, indptr), shape=(n_free, n_free))
+    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    rank = np.empty(n_free, dtype=np.intp)
+    rank[perm] = np.arange(n_free)
+    i, j = rank[fr], rank[fc]
+    upper = i <= j
+    band = int((j - i).max(initial=0))
+    # int32 maps take half the memory; band_pos stays intp, because the band
+    # array's (band + 1) * n_free entries may pass 2**31
+    i32 = np.int32
+    return _ScatterPlan(
+        entry_slot=entry_slot.astype(i32).ravel(),
+        rows=rows.astype(i32),
+        cols=cols.astype(i32),
+        free=free,
+        ff_indptr=indptr.astype(i32),
+        ff_indices=fc.astype(i32),
+        ff_slot=ff.astype(i32),
+        perm=perm,
+        band=band,
+        band_pos=(band + i - j + j * (band + 1))[upper],
+        band_slot=ff[upper].astype(i32),
+    )
+
+
+# Plans kept per process, least recently used dropped first. A level-0
+# elastic plan takes about 24 MB; the level-0 meshes of both families share
+# one topology, so a sweep needs two plans (elastic and thermal).
+_PLAN_CACHE_SIZE = 4
+_plans: dict = {}
+
+
+def _scatter_plan(mesh: TetMesh, kind: str) -> _ScatterPlan:
+    """The cached plan for this mesh topology, built on first use."""
+    key = (kind, mesh.n_nodes) + tuple(
+        (a.dtype.str, a.shape, a.tobytes()) for a in (mesh.tets, mesh.faces, mesh.face_tags)
+    )
+    plan = _plans.pop(key, None)
+    if plan is None:
+        plan = _build_plan(mesh, kind)
+    _plans[key] = plan
+    while len(_plans) > _PLAN_CACHE_SIZE:
+        del _plans[next(iter(_plans))]
+    return plan
+
+
+def _top_faces(mesh: TetMesh):
+    """The TOP triangles and their areas (m^2)."""
+    top = mesh.faces[mesh.face_tags == FaceTag.TOP]
+    q = mesh.nodes[top] * MM
+    area = 0.5 * np.linalg.norm(np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]), axis=1)
+    return top, area
+
+
+_FACE_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+
+
+def _thermal_system(mesh: TetMesh, p: ThermalParams):
+    """Plan, slot values (conduction plus Robin) and load vector, no
+    Dirichlet condition applied yet. Entries are ordered (a, b, element),
+    the tets before the TOP faces, as the plan expects."""
+    plan = _scatter_plan(mesh, "thermal")
     grads, vol = _gradients(mesh.nodes * MM, mesh.tets)
     mix = mesh.tumor_frac
     k_e = p.k_tissue + (p.k_tumor - p.k_tissue) * mix
-    local = np.einsum("e,eia,eib->eab", k_e * vol, grads, grads)
-    rows = np.repeat(mesh.tets, 4, axis=1).ravel()
-    cols = np.tile(mesh.tets, (1, 4)).ravel()
-    K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n))
-
-    f = np.zeros(n)
-    q_e = p.q_tumor * mix
-    np.add.at(f, mesh.tets.ravel(), np.repeat(q_e * vol / 4.0, 4))
-
-    top = mesh.faces[mesh.face_tags == FaceTag.TOP]
-    if p.h_top > 0 and top.shape[0]:
-        q = mesh.nodes[top] * MM
-        area = 0.5 * np.linalg.norm(
-            np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]), axis=1
-        )
-        face_m = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-        vals = p.h_top * area[:, None, None] * face_m[None, :, :]
-        r_rows = np.repeat(top, 3, axis=1).ravel()
-        r_cols = np.tile(top, (1, 3)).ravel()
-        K = K + sp.coo_matrix((vals.ravel(), (r_rows, r_cols)), shape=(n, n))
-        np.add.at(
-            f, top.ravel(), np.repeat(p.h_top * p.t_ambient * area / 3.0, 3)
-        )
-    return K.tocsr(), f
+    local = np.einsum("e,aie,bie->abe", k_e * vol, grads, grads)
+    top, area = _top_faces(mesh)
+    robin = p.h_top * _FACE_MASS[:, :, None] * area
+    vals = plan.assemble(np.concatenate([local.ravel(), robin.ravel()]))
+    load = np.concatenate([
+        np.repeat(p.q_tumor * mix * vol / 4.0, 4),
+        np.repeat(p.h_top * p.t_ambient * area / 3.0, 3),
+    ])
+    f = np.bincount(
+        np.concatenate([mesh.tets.ravel(), top.ravel()]), weights=load, minlength=mesh.n_nodes
+    )
+    return plan, vals, f
 
 
-def _solve_banded_cholesky(K_ff, rhs) -> np.ndarray:
-    """Direct SPD solve: RCM ordering, then LAPACK banded Cholesky.
+def _elastic_system(mesh: TetMesh, p: ElasticParams):
+    """Plan and slot values of the elastic stiffness, no Dirichlet yet.
 
-    Structured tet meshes have a narrow band once nodes are renumbered by
-    reverse Cuthill-McKee, so the dense band factor beats a general sparse LU.
-    Only the upper triangle of K_ff is read.
+    Block (a, b) of a tet is vol * (lam ga gb^T + mu gb ga^T + mu (ga.gb) I)
+    for the shape-function gradients ga, gb; entries are ordered
+    (a, i, b, j, tet) as the plan expects.
     """
-    K_ff = K_ff.tocsr()
-    n = K_ff.shape[0]
-    perm = reverse_cuthill_mckee(K_ff, symmetric_mode=True)
-    rank = np.empty(n, dtype=np.intp)
-    rank[perm] = np.arange(n)
-    coo = K_ff.tocoo()
-    coo.sum_duplicates()
-    i, j = rank[coo.row], rank[coo.col]
-    upper = i <= j
-    i, j, vals = i[upper], j[upper], coo.data[upper]
-    band = int((j - i).max(initial=0))
+    plan = _scatter_plan(mesh, "elastic")
+    grads, vol = _gradients(mesh.nodes, mesh.tets)  # mm units cancel: no loads
+    e_mod = p.e_tissue * (1.0 + (p.tumor_stiffness_factor - 1.0) * mesh.tumor_frac)
+    lam = e_mod * p.poisson / ((1.0 + p.poisson) * (1.0 - 2.0 * p.poisson))
+    mu = e_mod / (2.0 * (1.0 + p.poisson))
+    g_lam = grads * (lam * vol)
+    g_mu = grads * (mu * vol)
+    ke = g_lam[:, :, None, None, :] * grads[None, None, :, :, :]  # ga_i gb_j
+    ke += grads[:, None, None, :, :] * g_mu.transpose(1, 0, 2)[None, :, :, None, :]  # gb_i ga_j
+    dots = np.einsum("aie,bie->abe", g_mu, grads)
+    for i in range(3):
+        ke[:, i, :, i, :] += dots
+    return plan, plan.assemble(ke.ravel())
+
+
+def _solve_banded_cholesky(plan: _ScatterPlan, vals: np.ndarray, rhs) -> np.ndarray:
+    """Direct SPD solve of K_ff x = rhs: LAPACK banded Cholesky in the plan's
+    reverse Cuthill-McKee order.
+
+    Structured tet meshes have a narrow band once renumbered, so the dense
+    band factor beats a general sparse LU. Only the upper triangle is read.
+    """
+    n_free = plan.perm.size
     # Fortran order: LAPACK factors the band in place instead of copying it
-    ab = np.zeros((band + 1, n), order="F")
-    ab[band + i - j, j] = vals
+    ab = np.zeros((plan.band + 1) * n_free)
+    ab[plan.band_pos] = vals[plan.band_slot]
+    ab = ab.reshape(plan.band + 1, n_free, order="F")
     try:
         factor = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
     except LinAlgError as exc:
         raise SingularSystemError(f"direct factorization failed: {exc}") from exc
-    x_perm = cho_solve_banded((factor, False), rhs[perm], check_finite=False)
+    x_perm = cho_solve_banded((factor, False), rhs[plan.perm], check_finite=False)
     x = np.empty_like(x_perm)
-    x[perm] = x_perm
+    x[plan.perm] = x_perm
     return x
 
 
-def _solve_spd(K_ff, rhs, *, method: str, tol: float, x0=None, max_iter=None):
-    """Solve an SPD reduced system; returns (x, iterations, rel_residual)."""
+def _solve_spd(plan: _ScatterPlan, vals, rhs, *, method: str, tol: float, max_iter=None):
+    """Solve the plan's SPD reduced system K_ff x = rhs; returns
+    (x, iterations, rel_residual), the residual taken from the assembled K_ff."""
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return np.zeros_like(rhs), 0, 0.0
+    K_ff = plan.k_ff(vals)
     if method == "direct":
-        x = _solve_banded_cholesky(K_ff, rhs)
+        x = _solve_banded_cholesky(plan, vals, rhs)
         res = float(np.linalg.norm(K_ff @ x - rhs)) / bnorm
         return x, 0, res
     if method != "pcg":
         raise ParameterError(f"unknown solver method {method!r}")
-
     diag = K_ff.diagonal()
     if np.any(diag <= 0):
         raise SingularSystemError("non-positive diagonal in SPD system")
     inv_diag = 1.0 / diag
-    x = np.zeros_like(rhs) if x0 is None else x0.copy()
-    r = rhs - K_ff @ x
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
     z = inv_diag * r
     p_vec = z.copy()
     rz = float(r @ z)
@@ -234,23 +386,14 @@ def solve_heat(
     boundary condition pins the solution.
     """
     t0 = time.perf_counter()
-    bottom = mesh.boundary_nodes(FaceTag.BOTTOM)
-    if bottom.size == 0 and params.h_top == 0.0:
+    if params.h_top == 0.0 and mesh.boundary_nodes(FaceTag.BOTTOM).size == 0:
         raise SingularSystemError("no Dirichlet nodes and h_top = 0: T only fixed up to a constant")
-    K, f = _assemble_thermal(mesh, params)
+    plan, vals, f = _thermal_system(mesh, params)
+    values = np.where(plan.free, 0.0, params.t_bottom)  # Dirichlet part only
+    rhs = (f - plan.matvec(vals, values))[plan.free]
+    x, iters, res = _solve_spd(plan, vals, rhs, method=method, tol=tol, max_iter=max_iter)
 
-    fixed = np.zeros(mesh.n_nodes, dtype=bool)
-    fixed[bottom] = True
-    free = ~fixed
-    t_fix = np.full(bottom.size, params.t_bottom)
-    rhs = f[free] - K[free][:, fixed] @ t_fix
-    x, iters, res = _solve_spd(
-        K[free][:, free], rhs, method=method, tol=tol, max_iter=max_iter
-    )
-
-    values = np.empty(mesh.n_nodes)
-    values[free] = x
-    values[fixed] = params.t_bottom
+    values[plan.free] = x
     stats = SolveStats(iters, res, time.perf_counter() - t0)
     return ScalarField(mesh, values), stats
 
@@ -275,19 +418,16 @@ def energy_balance(field: ScalarField, params: ThermalParams) -> EnergyBalance:
     to the linear-solver residual when assembly is consistent.
     """
     mesh = field.mesh
-    K, f = _assemble_thermal(mesh, params)
     T = field.values
-
     _, vol = _gradients(mesh.nodes * MM, mesh.tets)
     generated = float(params.q_tumor * np.dot(mesh.tumor_frac, vol))
 
-    top = mesh.faces[mesh.face_tags == FaceTag.TOP]
-    q = mesh.nodes[top] * MM
-    area = 0.5 * np.linalg.norm(np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]), axis=1)
+    top, area = _top_faces(mesh)
     t_mean = T[top].mean(axis=1)
     out_top = float(np.dot(params.h_top * area, t_mean - params.t_ambient))
 
-    reaction = K @ T - f
+    plan, vals, f = _thermal_system(mesh, params)
+    reaction = plan.matvec(vals, T) - f
     bottom = mesh.boundary_nodes(FaceTag.BOTTOM)
     out_bottom = -float(reaction[bottom].sum())
     return EnergyBalance(generated, out_top, out_bottom)
@@ -311,54 +451,16 @@ def solve_elastic(
     stiffness is not positive definite.
     """
     t0 = time.perf_counter()
-    n = mesh.n_nodes
-    grads, vol = _gradients(mesh.nodes, mesh.tets)  # mm units cancel: no loads
-    mix = mesh.tumor_frac
-    e_mod = params.e_tissue * (1.0 + (params.tumor_stiffness_factor - 1.0) * mix)
-    lam = e_mod * params.poisson / ((1.0 + params.poisson) * (1.0 - 2.0 * params.poisson))
-    mu = e_mod / (2.0 * (1.0 + params.poisson))
-
-    ndof = 3 * n
-    blocks = np.empty((mesh.n_tets, 4, 4, 3, 3))
-    dots = np.einsum("eia,eib->eab", grads, grads)
-    eye = np.eye(3)
-    for a in range(4):
-        ga = grads[:, :, a]
-        for b in range(4):
-            gb = grads[:, :, b]
-            blk = (
-                lam[:, None, None] * ga[:, :, None] * gb[:, None, :]
-                + mu[:, None, None] * gb[:, :, None] * ga[:, None, :]
-                + (mu * dots[:, a, b])[:, None, None] * eye[None, :, :]
-            )
-            blocks[:, a, b] = vol[:, None, None] * blk
-    dof = (3 * mesh.tets[:, :, None] + np.arange(3)[None, None, :]).reshape(
-        mesh.n_tets, 12
-    )
-    rows = np.repeat(dof, 12, axis=1).ravel()
-    cols = np.tile(dof, (1, 12)).ravel()
-    K = sp.coo_matrix(
-        (blocks.transpose(0, 1, 3, 2, 4).reshape(mesh.n_tets, 12, 12).ravel(), (rows, cols)),
-        shape=(ndof, ndof),
-    ).tocsr()
-
+    plan, vals = _elastic_system(mesh, params)
     z_len = float(mesh.nodes[:, 2].max())
-    fixed = np.zeros(ndof, dtype=bool)
-    u_fix = np.zeros(ndof)
-    for node in mesh.boundary_nodes(FaceTag.BOTTOM):
-        fixed[3 * node : 3 * node + 3] = True
-    top_nodes = mesh.boundary_nodes(FaceTag.TOP)
-    fixed[3 * top_nodes + 2] = True
-    u_fix[3 * top_nodes + 2] = -params.applied_strain * z_len
+    u = np.zeros(3 * mesh.n_nodes)  # Dirichlet part only
+    u[3 * mesh.boundary_nodes(FaceTag.TOP) + 2] = -params.applied_strain * z_len
+    rhs = -plan.matvec(vals, u)[plan.free]
+    x, iters, res = _solve_spd(plan, vals, rhs, method=method, tol=tol)
 
-    free = ~fixed
-    rhs = -(K[free][:, fixed] @ u_fix[fixed])
-    x, iters, res = _solve_spd(K[free][:, free], rhs, method=method, tol=tol)
-
-    u = u_fix.copy()
-    u[free] = x
+    u[plan.free] = x
     stats = SolveStats(iters, res, time.perf_counter() - t0)
-    return VectorField(mesh, u.reshape(n, 3)), stats
+    return VectorField(mesh, u.reshape(mesh.n_nodes, 3)), stats
 
 
 def deform_mesh(mesh: TetMesh, u: VectorField) -> TetMesh:

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.stats import spearmanr
 
 from .errors import DatasetSizeError, ParameterError, TrainingError
 from .textio import atomic_write_text, fmt, write_csv
@@ -192,6 +191,9 @@ def evaluate(model: RbfModel, features: np.ndarray, targets: np.ndarray) -> Eval
 
 def rank_correlation(a: np.ndarray, b: np.ndarray) -> float:
     """Spearman rank correlation."""
+    # imported here: scipy.stats would otherwise take most of every CLI start
+    from scipy.stats import spearmanr
+
     return float(spearmanr(a, b).statistic)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -86,6 +87,8 @@ __all__ = [
     "load_dataset",
     "make_figures",
 ]
+
+log = logging.getLogger(__name__)
 
 PROFILE_OVERLAY_ORDERS = (3, 4, 5, 10, 20, 50, 100)
 CONTOUR_MODEL_N = 10
@@ -322,6 +325,9 @@ class ModelResult:
     elements: int
     nodes: int
     wall_time: float
+    stage_s: dict  # seconds per stage: mesh, elastic (with deform), heat, profile_fit
+    elastic_residual: float  # relative residuals of the two linear solves
+    heat_residual: float
     field: ScalarField
     profile_x_m: np.ndarray
     profile_t_c: np.ndarray
@@ -342,11 +348,14 @@ def run_model(
         thermal = dataclasses.replace(thermal, t_ambient=float(ambient_c))
     geom = place_prism(tumor_shape(cfg, family, n), cfg.tissue)
     mesh = build_mesh(geom, refinement_spec(cfg, family, level))
-    u, _ = solve_elastic(mesh, cfg.elastic)
+    t_mesh = time.perf_counter()
+    u, elastic_stats = solve_elastic(mesh, cfg.elastic)
     moved = deform_mesh(mesh, u)
-    field, _ = solve_heat(
+    t_elastic = time.perf_counter()
+    field, heat_stats = solve_heat(
         moved, thermal, method=cfg.solver.thermal_method, tol=cfg.solver.tol
     )
+    t_heat = time.perf_counter()
     profile = extract_profile(
         field,
         cfg.solver.profile_samples,
@@ -355,6 +364,7 @@ def run_model(
     )
     sig = fit_fourier4(profile)
     x_max, t_max = max_surface_temp(profile)
+    t_end = time.perf_counter()
     return ModelResult(
         model_id=model_id(family, n),
         family=family.value,
@@ -364,7 +374,15 @@ def run_model(
         x_max_m=x_max,
         elements=mesh.n_tets,
         nodes=mesh.n_nodes,
-        wall_time=time.perf_counter() - t0,
+        wall_time=t_end - t0,
+        stage_s={
+            "mesh": t_mesh - t0,
+            "elastic": t_elastic - t_mesh,
+            "heat": t_heat - t_elastic,
+            "profile_fit": t_end - t_heat,
+        },
+        elastic_residual=elastic_stats.final_residual,
+        heat_residual=heat_stats.final_residual,
         field=field,
         profile_x_m=profile.positions,
         profile_t_c=profile.temps,
@@ -381,6 +399,7 @@ class RunManifest:
     Each completed model records its signature row and artifact paths, so a
     dataset can be rebuilt without re-solving and interrupted sweeps resume
     where they stopped. A config-hash mismatch invalidates all entries.
+    Each entry also keeps the model's stage timings and solver residuals.
     """
 
     def __init__(self, path, cfg_hash: str, models: dict | None = None):
@@ -389,7 +408,9 @@ class RunManifest:
         self.models = dict(models or {})
 
     @classmethod
-    def load(cls, path, cfg_hash: str) -> "RunManifest":
+    def load(cls, path, cfg_hash: str, *, strict: bool = False) -> "RunManifest":
+        """The ledger at path; on a config-hash mismatch an empty one, or
+        ArtifactError when strict (readers that cannot re-solve)."""
         path = Path(path)
         if not path.exists():
             return cls(path, cfg_hash)
@@ -400,6 +421,13 @@ class RunManifest:
         if not isinstance(data, dict) or not isinstance(data.get("models", {}), dict):
             raise ArtifactError(f"manifest {path} is not a JSON object of models")
         if data.get("config_hash") != cfg_hash:
+            if strict:
+                threads = ", ".join(f"{v}={os.environ.get(v)}" for v in BLAS_THREAD_VARS)
+                raise ArtifactError(
+                    f"manifest {path} was written under another config or BLAS thread "
+                    f"setting (config_hash differs; this run has {threads}); re-run the "
+                    "sweep with the same config and thread variables"
+                )
             return cls(path, cfg_hash)
         return cls(path, cfg_hash, data.get("models", {}))
 
@@ -419,6 +447,9 @@ class RunManifest:
             "elements": result.elements,
             "nodes": result.nodes,
             "wall_time": result.wall_time,
+            "stage_s": result.stage_s,
+            "elastic_residual": result.elastic_residual,
+            "heat_residual": result.heat_residual,
             "signature": dict(zip(FEATURE_NAMES, (float(v) for v in sig.features()))),
             "fit_rmse_rel": sig.fit_rmse_rel,
             "t_max_c": result.t_max_c,
@@ -524,10 +555,16 @@ def run_sweep(
             message = f"{type(exc).__name__}: {exc}"
             manifest.record_error(mid, family, n, message)
             failed.append((mid, message))
+            log.warning("%s failed: %s", mid, message)
         else:
             artifacts = _write_model_artifacts(out_dir, result, cfg.tissue.y_len / 2.0)
             manifest.record_ok(result, artifacts)
             solved.append(mid)
+            stages = ", ".join(f"{k} {v:.2f}" for k, v in result.stage_s.items())
+            log.info(
+                "%s ok in %.2f s (%s); residuals elastic %.1e, heat %.1e",
+                mid, result.wall_time, stages, result.elastic_residual, result.heat_residual,
+            )
         manifest.save()
 
     if workers > 1 and len(pending) > 1:
@@ -802,7 +839,7 @@ def make_figures(cfg: StudyConfig, families=None) -> tuple:
     fig_dir = out_dir / "figures"
     orders = cfg.sweep.values()
 
-    manifest = RunManifest.load(out_dir / "manifest.json", config_hash(cfg))
+    manifest = RunManifest.load(out_dir / "manifest.json", config_hash(cfg), strict=True)
     missing = [
         mid
         for mid in sorted(manifest.models)

@@ -2,12 +2,14 @@
 
 Everything here is deliberately written by a different route than the code
 under test: containment via summed winding angles, areas via triangle fans,
-the 1-D slab temperature profile in closed form.
+the 1-D slab temperature profile in closed form, stiffness matrices summed
+block by block through COO matrices.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def winding_contains(point, vertices) -> bool:
@@ -74,3 +76,68 @@ def quartiles_linear(values):
         return xs[lo] * (1.0 - frac) + xs[hi] * frac
 
     return at(0.25), at(0.5), at(0.75)
+
+
+def _tet_gradients(nodes, tets):
+    """Shape-function gradients (M, 3, 4) and volumes from the inverted
+    Jacobian (np.linalg), not from cofactors."""
+    p = nodes[tets]
+    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0]], axis=1)
+    inv = np.linalg.inv(jac)
+    grads = np.concatenate([-inv.sum(axis=2, keepdims=True), inv], axis=2)
+    return grads, np.linalg.det(jac) / 6.0
+
+
+def elastic_stiffness(mesh, params):
+    """Full elastic stiffness (3 DOFs per node, mm units) summed from 3x3
+    blocks one node pair at a time through a COO matrix."""
+    grads, vol = _tet_gradients(mesh.nodes, mesh.tets)
+    e_mod = params.e_tissue * (1.0 + (params.tumor_stiffness_factor - 1.0) * mesh.tumor_frac)
+    nu = params.poisson
+    lam = e_mod * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
+    mu = e_mod / (2.0 * (1.0 + nu))
+    rows, cols, vals = [], [], []
+    for a in range(4):
+        ga = grads[:, :, a]
+        for b in range(4):
+            gb = grads[:, :, b]
+            blk = (
+                lam[:, None, None] * ga[:, :, None] * gb[:, None, :]
+                + mu[:, None, None] * gb[:, :, None] * ga[:, None, :]
+                + (mu * np.einsum("ei,ei->e", ga, gb))[:, None, None] * np.eye(3)
+            ) * vol[:, None, None]
+            for i in range(3):
+                for j in range(3):
+                    rows.append(3 * mesh.tets[:, a] + i)
+                    cols.append(3 * mesh.tets[:, b] + j)
+                    vals.append(blk[:, i, j])
+    n = 3 * mesh.n_nodes
+    coo = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    return coo.tocsr()
+
+
+def thermal_stiffness(mesh, params):
+    """Full conduction plus Robin matrix (SI units) through a COO matrix."""
+    grads, vol = _tet_gradients(mesh.nodes * 1e-3, mesh.tets)
+    k = params.k_tissue + (params.k_tumor - params.k_tissue) * mesh.tumor_frac
+    rows, cols, vals = [], [], []
+    for a in range(4):
+        for b in range(4):
+            rows.append(mesh.tets[:, a])
+            cols.append(mesh.tets[:, b])
+            vals.append(k * vol * np.einsum("ei,ei->e", grads[:, :, a], grads[:, :, b]))
+    top = mesh.faces[mesh.face_tags == 1]  # FaceTag.TOP
+    q = mesh.nodes[top] * 1e-3
+    area = 0.5 * np.linalg.norm(np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]), axis=1)
+    for a in range(3):
+        for b in range(3):
+            rows.append(top[:, a])
+            cols.append(top[:, b])
+            vals.append(params.h_top * area * (2.0 if a == b else 1.0) / 12.0)
+    n = mesh.n_nodes
+    coo = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    return coo.tocsr()

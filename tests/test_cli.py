@@ -105,6 +105,16 @@ def test_damaged_artifacts_exit_3(tiny_cfg_path, tmp_path, capsys):
     assert "malformed row 2" in capsys.readouterr().err
 
 
+def test_figures_under_another_thread_setting_exits_3(tiny_cfg_path, monkeypatch, capsys):
+    c = str(tiny_cfg_path)
+    for family in ("polygon", "star"):
+        assert cli.main(["--config", c, "sweep", "--family", family]) == 0
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert cli.main(["--config", c, "figures"]) == 3
+    err = capsys.readouterr().err
+    assert "BLAS thread" in err and "OPENBLAS_NUM_THREADS=2" in err
+
+
 def test_mesh_study_command(tiny_cfg_path, capsys):
     assert cli.main(["--config", str(tiny_cfg_path), "mesh-study",
                      "--family", "star", "--n", "4"]) == 0
@@ -175,6 +185,14 @@ def test_import_defaults_blas_to_one_thread(preset, expected):
     proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(**preset),
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == expected
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of the import time; only rank_correlation needs it
+    code = "import sys, tactherm.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_sweep_dataset_identical_across_worker_counts(tiny_cfg_path, tmp_path):

@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.sparse import identity
 from scipy.sparse.linalg import splu
 
 import tactherm.fem as fem
@@ -140,13 +139,14 @@ def test_pcg_and_direct_agree():
 
 
 def reduced_elastic_system(monkeypatch):
-    """The reduced (K_ff, rhs) that solve_elastic hands to the SPD solver."""
+    """The scatter plan, slot values and rhs that solve_elastic hands to the
+    SPD solver."""
     systems = []
     real = fem._solve_spd
 
-    def capture(K_ff, rhs, **kwargs):
-        systems.append((K_ff, rhs))
-        return real(K_ff, rhs, **kwargs)
+    def capture(plan, vals, rhs, **kwargs):
+        systems.append((plan, vals, rhs))
+        return real(plan, vals, rhs, **kwargs)
 
     monkeypatch.setattr(fem, "_solve_spd", capture)
     solve_elastic(decagon_mesh(factor=1, nx=6, ny=3, nz=3), ElasticParams())
@@ -154,8 +154,9 @@ def reduced_elastic_system(monkeypatch):
 
 
 def test_direct_solve_matches_sparse_lu(monkeypatch):
-    K_ff, rhs = reduced_elastic_system(monkeypatch)
-    x, iters, res = fem._solve_spd(K_ff, rhs, method="direct", tol=1e-10)
+    plan, vals, rhs = reduced_elastic_system(monkeypatch)
+    K_ff = plan.k_ff(vals)
+    x, iters, res = fem._solve_spd(plan, vals, rhs, method="direct", tol=1e-10)
     reference = splu(K_ff.tocsc()).solve(rhs)
     assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
     assert iters == 0
@@ -163,12 +164,16 @@ def test_direct_solve_matches_sparse_lu(monkeypatch):
 
 
 def test_direct_solve_rejects_indefinite_system(monkeypatch):
-    K_ff, rhs = reduced_elastic_system(monkeypatch)
+    plan, vals, rhs = reduced_elastic_system(monkeypatch)
+    K_ff = plan.k_ff(vals)
     # shifting by the mean eigenvalue (trace / n) leaves eigenvalues of both signs
     shift = K_ff.diagonal().mean()
-    indefinite = (K_ff - shift * identity(K_ff.shape[0])).tocsr()
+    csr_rows = np.repeat(np.arange(K_ff.shape[0]), np.diff(plan.ff_indptr))
+    diagonal_slots = plan.ff_slot[csr_rows == plan.ff_indices]
+    indefinite = vals.copy()
+    indefinite[diagonal_slots] -= shift
     with pytest.raises(SingularSystemError):
-        fem._solve_spd(indefinite, rhs, method="direct", tol=1e-10)
+        fem._solve_spd(plan, indefinite, rhs, method="direct", tol=1e-10)
 
 
 def test_pcg_nonconvergence_raises_with_stats():
@@ -281,3 +286,79 @@ def test_field_validation():
         ElasticParams(poisson=0.5)
     with pytest.raises(ParameterError):
         ThermalParams(k_tissue=0.0)
+
+
+def family_mesh(family, n, spec=(5, 3, 3, 2)):
+    """A small sweep mesh: the refinement box is fixed, so every n of a
+    family shares one topology, as in a production sweep."""
+    nx, ny, nz, factor = spec
+    box = ((5.0, 45.0), (5.0, 25.0), (5.0, 20.0))
+    geom = place_prism(TumorShape(family, n=n), TissueDims())
+    return build_mesh(geom, RefinementSpec(nx, ny, nz, local_factor=factor, refine_box=box))
+
+
+@pytest.mark.parametrize("family", [ShapeFamily.REGULAR_POLYGON, ShapeFamily.STAR_POLYGON])
+def test_cold_and_warm_plan_solves_are_bit_identical(family, monkeypatch):
+    monkeypatch.setattr(fem, "_plans", {})
+    mesh = family_mesh(family, 7)
+
+    def solve_all():
+        u, _ = solve_elastic(mesh, ElasticParams())
+        moved = deform_mesh(mesh, u)
+        direct, _ = solve_heat(moved, ThermalParams(), method="direct")
+        pcg, _ = solve_heat(moved, ThermalParams(), method="pcg")
+        return u.values, direct.values, pcg.values
+
+    cold = solve_all()
+    assert len(fem._plans) == 2  # one elastic and one thermal plan
+    warm = solve_all()
+    assert len(fem._plans) == 2
+    for a, b in zip(cold, warm):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_plan_shared_within_a_level_and_rebuilt_across_levels(monkeypatch):
+    monkeypatch.setattr(fem, "_plans", {})
+    builds = []
+    real = fem._build_plan
+
+    def counting(mesh, kind):
+        builds.append((mesh.n_tets, kind))
+        return real(mesh, kind)
+
+    monkeypatch.setattr(fem, "_build_plan", counting)
+    params = ElasticParams()
+    solve_elastic(family_mesh(ShapeFamily.STAR_POLYGON, 5), params)
+    solve_elastic(family_mesh(ShapeFamily.STAR_POLYGON, 9), params)
+    solve_elastic(family_mesh(ShapeFamily.REGULAR_POLYGON, 4), params)
+    assert len(builds) == 1  # tets depend only on the grid counts
+    finer = family_mesh(ShapeFamily.STAR_POLYGON, 5, spec=(6, 3, 3, 2))
+    solve_elastic(finer, params)
+    assert len(builds) == 2 and builds[1][0] == finer.n_tets
+
+    for nx in range(4, 4 + 2 * fem._PLAN_CACHE_SIZE):
+        solve_heat(family_mesh(ShapeFamily.STAR_POLYGON, 5, spec=(nx, 2, 2, 1)), ThermalParams())
+        assert len(fem._plans) <= fem._PLAN_CACHE_SIZE
+    before = len(builds)
+    solve_heat(family_mesh(ShapeFamily.STAR_POLYGON, 5, spec=(nx, 2, 2, 1)), ThermalParams())
+    assert len(builds) == before  # the most recently used plan is kept
+    solve_elastic(family_mesh(ShapeFamily.STAR_POLYGON, 5), params)
+    # the oldest plan was dropped and is built again
+    assert len(builds) == before + 1 and builds[-1][1] == "elastic"
+
+
+def test_assembled_reduced_systems_match_block_reference():
+    mesh = family_mesh(ShapeFamily.STAR_POLYGON, 6)
+    cases = (
+        (fem._elastic_system(mesh, ElasticParams())[:2], oracles.elastic_stiffness(mesh, ElasticParams())),
+        (fem._thermal_system(mesh, ThermalParams())[:2], oracles.thermal_stiffness(mesh, ThermalParams())),
+    )
+    for (plan, vals), reference in cases:
+        free = plan.free
+        want = reference[free][:, free].toarray()
+        got = plan.k_ff(vals).toarray()
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # the full matrix behind the right-hand side and the reactions too
+        x = np.linspace(-1.0, 2.0, free.size)
+        full = reference @ x
+        assert np.linalg.norm(plan.matvec(vals, x) - full) <= 1e-12 * np.linalg.norm(full)

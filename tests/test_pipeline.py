@@ -145,6 +145,34 @@ def test_blas_thread_setting_invalidates_resume(tmp_path, monkeypatch):
     assert len(redo.solved) == 4 and not redo.skipped
 
 
+def test_make_figures_names_a_resume_key_mismatch(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path / "out")
+    for family in (POLY, STAR):
+        run_sweep(cfg, family)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    with pytest.raises(ArtifactError, match="BLAS thread") as exc:
+        make_figures(cfg)
+    assert "OPENBLAS_NUM_THREADS=2" in str(exc.value)
+    assert "sweep incomplete" not in str(exc.value)
+
+
+def test_manifest_records_solver_stats_and_stage_timings(tmp_path, caplog):
+    cfg = tiny_config(tmp_path / "out", stop=4)
+    with caplog.at_level("INFO", logger="tactherm.pipeline"):
+        run_sweep(cfg, POLY)
+    entries = json.loads((tmp_path / "out" / "manifest.json").read_text())["models"]
+    for n in (3, 4):
+        entry = entries[model_id(POLY, n)]
+        assert set(entry["stage_s"]) == {"mesh", "elastic", "heat", "profile_fit"}
+        assert all(v >= 0.0 for v in entry["stage_s"].values())
+        assert sum(entry["stage_s"].values()) <= entry["wall_time"]
+        assert 0.0 <= entry["elastic_residual"] <= 1e-10
+        assert 0.0 <= entry["heat_residual"] <= 1e-10
+    lines = [r.getMessage() for r in caplog.records if r.name == "tactherm.pipeline"]
+    assert len(lines) == 2
+    assert lines[0].startswith("polygon-n003 ok in ") and "residuals elastic" in lines[0]
+
+
 def test_damaged_manifest_raises_artifact_error(tmp_path):
     cfg = tiny_config(tmp_path / "out")
     run_sweep(cfg, POLY)
