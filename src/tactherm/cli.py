@@ -89,7 +89,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--level", type=int, default=None, help="refinement ladder index")
-    p.add_argument("--text", type=Path, help="also export the mesh as text")
+    p.add_argument("--text", type=Path, help="also export the solved half mesh as text")
 
     p = sub.add_parser("solve", help="run a single model end to end")
     p.add_argument("--family", required=True)
@@ -145,8 +145,11 @@ def _cmd_mesh(cfg, args) -> int:
     geom = place_prism(tumor_shape(cfg, family, args.n), cfg.tissue)
     mesh = build_mesh(geom, refinement_spec(cfg, family, args.level))
     q = mesh_quality(mesh)
-    tumor_mm3 = float(mesh.tet_volumes() @ mesh.tumor_frac)
-    print(f"{model_id(family, args.n)}: {mesh.n_tets} tets, {mesh.n_nodes} nodes")
+    # the mesh is the x <= c half; the block is it and its mirror image
+    tumor_mm3 = 2.0 * float(mesh.tet_volumes() @ mesh.tumor_frac)
+    tets, nodes = mesh.block_counts()
+    print(f"{model_id(family, args.n)}: {tets} tets, {nodes} nodes "
+          f"(solved half: {mesh.n_tets} tets, {mesh.n_nodes} nodes)")
     print(f"  min dihedral {q.min_dihedral_deg:.2f} deg, "
           f"max aspect {q.max_aspect:.2f}, tumor volume {tumor_mm3:.2f} mm^3")
     if args.text:

@@ -20,6 +20,13 @@ the element entries as array expressions over all tets, sums them into the
 slots with one bincount, and gathers K_ff and the band from the slots. The
 models of a sweep share one topology, so only the first model pays for the
 symbolic work.
+
+A mesh with a SYMMETRY plane (every mesh build_mesh makes) is the x <= c
+half of a mirror-symmetric block. The elastic problem adds u_x = 0 on the
+plane nodes and the heat problem keeps the natural (insulated) condition
+there; both are exact for a mirror-symmetric problem. energy_balance doubles
+the half's terms to whole-block watts. A mesh with no SYMMETRY faces solves
+the whole-domain problem with the same code.
 """
 
 from __future__ import annotations
@@ -112,6 +119,8 @@ class SolveStats:
     iterations: int
     final_residual: float  # relative to ||rhs||
     wall_time: float  # seconds
+    n_free: int  # unknowns of the reduced system K_ff
+    band: int  # upper bandwidth of K_ff in the plan's order
 
 
 def _gradients(nodes: np.ndarray, tets: np.ndarray):
@@ -173,7 +182,7 @@ class _ScatterPlan:
 def _build_plan(mesh: TetMesh, kind: str) -> _ScatterPlan:
     """Scatter plan of the "thermal" system (one unknown per node, tets plus
     Robin faces on TOP, bottom nodes fixed) or the "elastic" one (three per
-    node, bottom nodes fixed, u_z fixed on top)."""
+    node, bottom nodes fixed, u_z fixed on top, u_x fixed on SYMMETRY)."""
     n_nodes = mesh.n_nodes
     bottom = mesh.boundary_nodes(FaceTag.BOTTOM)
     groups = [mesh.tets]
@@ -184,7 +193,10 @@ def _build_plan(mesh: TetMesh, kind: str) -> _ScatterPlan:
     else:
         bs = 3
         top = mesh.boundary_nodes(FaceTag.TOP)
-        fixed = np.concatenate([(3 * bottom[:, None] + np.arange(3)).ravel(), 3 * top + 2])
+        plane = mesh.boundary_nodes(FaceTag.SYMMETRY)
+        fixed = np.concatenate(
+            [(3 * bottom[:, None] + np.arange(3)).ravel(), 3 * top + 2, 3 * plane]
+        )
     # node pair (a, b) of each tet and Robin face, the element index last
     keys = np.concatenate([
         (g.T[:, None, :].astype(np.int64) * n_nodes + g.T[None, :, :]).ravel() for g in groups
@@ -367,7 +379,7 @@ def _solve_spd(plan: _ScatterPlan, vals, rhs, *, method: str, tol: float, max_it
         rz = rz_new
     raise SolverError(
         f"PCG did not reach tol {tol} within {cap} iterations",
-        stats=SolveStats(cap, float(np.linalg.norm(r)) / bnorm, 0.0),
+        stats=SolveStats(cap, float(np.linalg.norm(r)) / bnorm, 0.0, plan.perm.size, plan.band),
     )
 
 
@@ -382,8 +394,8 @@ def solve_heat(
     """Temperature field for the mixed-boundary conduction problem.
 
     Dirichlet t_bottom on the bottom face, Robin (h_top, t_ambient) on the
-    top, natural (insulated) sides. Raises SingularSystemError when no
-    boundary condition pins the solution.
+    top, natural (insulated) sides and SYMMETRY plane. Raises
+    SingularSystemError when no boundary condition pins the solution.
     """
     t0 = time.perf_counter()
     if params.h_top == 0.0 and mesh.boundary_nodes(FaceTag.BOTTOM).size == 0:
@@ -394,7 +406,7 @@ def solve_heat(
     x, iters, res = _solve_spd(plan, vals, rhs, method=method, tol=tol, max_iter=max_iter)
 
     values[plan.free] = x
-    stats = SolveStats(iters, res, time.perf_counter() - t0)
+    stats = SolveStats(iters, res, time.perf_counter() - t0, plan.perm.size, plan.band)
     return ScalarField(mesh, values), stats
 
 
@@ -411,14 +423,17 @@ class EnergyBalance:
 
 
 def energy_balance(field: ScalarField, params: ThermalParams) -> EnergyBalance:
-    """Generated power vs boundary outflow (W).
+    """Generated power vs boundary outflow (W) of the whole block.
 
     Top outflow integrates the Robin flux h(T - t_ambient); bottom outflow is
     the Galerkin reaction at the Dirichlet nodes, so the balance is exact up
-    to the linear-solver residual when assembly is consistent.
+    to the linear-solver residual when assembly is consistent. On a mesh with
+    a SYMMETRY plane each term is twice the half's: no heat crosses the
+    plane.
     """
     mesh = field.mesh
     T = field.values
+    copies = 1.0 if mesh.symmetry_x is None else 2.0
     _, vol = _gradients(mesh.nodes * MM, mesh.tets)
     generated = float(params.q_tumor * np.dot(mesh.tumor_frac, vol))
 
@@ -430,7 +445,7 @@ def energy_balance(field: ScalarField, params: ThermalParams) -> EnergyBalance:
     reaction = plan.matvec(vals, T) - f
     bottom = mesh.boundary_nodes(FaceTag.BOTTOM)
     out_bottom = -float(reaction[bottom].sum())
-    return EnergyBalance(generated, out_top, out_bottom)
+    return EnergyBalance(copies * generated, copies * out_top, copies * out_bottom)
 
 
 def solve_elastic(
@@ -443,7 +458,8 @@ def solve_elastic(
     """Displacement under imposed vertical compression of the top face.
 
     Bottom face fully fixed; top face u_z = -applied_strain * z_len with
-    horizontal components free; sides traction-free. Tumor elements are
+    horizontal components free; sides traction-free; u_x = 0 on the
+    SYMMETRY plane, which keeps its nodes on x = c. Tumor elements are
     stiffened by tumor_stiffness_factor. The default solver is direct, a
     banded Cholesky factorization after reverse Cuthill-McKee reordering:
     near-incompressible Poisson ratios condition the system badly for
@@ -459,7 +475,7 @@ def solve_elastic(
     x, iters, res = _solve_spd(plan, vals, rhs, method=method, tol=tol)
 
     u[plan.free] = x
-    stats = SolveStats(iters, res, time.perf_counter() - t0)
+    stats = SolveStats(iters, res, time.perf_counter() - t0, plan.perm.size, plan.band)
     return VectorField(mesh, u.reshape(mesh.n_nodes, 3)), stats
 
 

@@ -65,9 +65,17 @@ def split_dataset(d: Dataset, seed: int, train_size: int = 68, test_size: int = 
     return Dataset(d.features, d.targets, family=d.family, split=split)
 
 
+# A feature whose training span is at most this (in its own units) is dead
+# and maps to 0: on the mirror-symmetric meshes the sine coefficients b1..b4
+# are fit roundoff of about 1e-14, which [-1, 1] scaling would turn into
+# full-weight noise.
+DEAD_SPAN = 1e-10
+
+
 @dataclass(frozen=True)
 class Normalizer:
-    """Per-feature affine map sending training [min, max] to [-1, 1]."""
+    """Per-feature affine map sending training [min, max] to [-1, 1]; a
+    feature with a span of at most DEAD_SPAN maps to 0."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -76,7 +84,7 @@ class Normalizer:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         span = self.hi - self.lo
         out = np.zeros_like(x)
-        live = span > 0
+        live = span > DEAD_SPAN
         out[:, live] = 2.0 * (x[:, live] - self.lo[live]) / span[live] - 1.0
         return out
 

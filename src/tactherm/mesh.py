@@ -1,11 +1,17 @@
-"""Structured tetrahedral meshing of the tissue block.
+"""Structured tetrahedral meshing of the x <= c half of the tissue block.
+
+Every shape of the study, the block and the centerline are mirror-symmetric
+about the plane x = c, the block's mid x. Only the half x <= c is meshed; its
+faces on x = c carry FaceTag.SYMMETRY, and the solvers impose the mirror
+conditions there. The whole block is this mesh and its mirror image, so the
+whole-block mesh is symmetric by construction.
 
 A graded tensor-product hex grid (finer inside a box around the inclusion) is
 split into 6 tets per hex with a fixed diagonal pattern, so meshes are fully
 deterministic. The inclusion is immersed: elements are labeled tumor/tissue by
 a centroid test, and each element additionally carries the exact volume
 fraction it shares with the prism (polygon clipping in-plane times interval
-overlap in z), which sums to the exact prism volume.
+overlap in z), which sums to the exact volume of the prism's half.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ class FaceTag(IntEnum):
     BOTTOM = 0
     TOP = 1
     SIDE_X0 = 2
-    SIDE_X1 = 3
+    SYMMETRY = 3  # the mirror plane x = c
     SIDE_Y0 = 4
     SIDE_Y1 = 5
 
@@ -55,7 +61,7 @@ BOUNDARY_TRIS = {
     FaceTag.BOTTOM: [(0, 1, 2), (0, 2, 3)],
     FaceTag.TOP: [(4, 5, 6), (4, 6, 7)],
     FaceTag.SIDE_X0: [(0, 3, 7), (0, 7, 4)],
-    FaceTag.SIDE_X1: [(1, 2, 6), (5, 1, 6)],
+    FaceTag.SYMMETRY: [(1, 2, 6), (5, 1, 6)],
     FaceTag.SIDE_Y0: [(0, 4, 5), (0, 5, 1)],
     FaceTag.SIDE_Y1: [(2, 3, 6), (3, 7, 6)],
 }
@@ -117,6 +123,23 @@ class TetMesh:
         """Sorted unique node indices on the faces carrying `tag`."""
         return np.unique(self.faces[self.face_tags == tag])
 
+    @property
+    def symmetry_x(self) -> float | None:
+        """x of the SYMMETRY plane, or None for a mesh of the whole block.
+
+        The solvers keep the plane nodes on the plane, so a deformed mesh
+        reports the same x."""
+        plane = self.boundary_nodes(FaceTag.SYMMETRY)
+        return float(self.nodes[plane[0], 0]) if plane.size else None
+
+    def block_counts(self) -> tuple[int, int]:
+        """(tets, nodes) of the whole block: a mesh with a SYMMETRY plane
+        stands for itself and its mirror image, which share the plane nodes."""
+        plane = self.boundary_nodes(FaceTag.SYMMETRY).size
+        if plane == 0:
+            return self.n_tets, self.n_nodes
+        return 2 * self.n_tets, 2 * self.n_nodes - plane
+
 
 def graded_axis(length: float, n: int, window: tuple | None, factor: int) -> np.ndarray:
     """1-D grid over [0, length]: n uniform intervals, each interval that
@@ -134,8 +157,26 @@ def graded_axis(length: float, n: int, window: tuple | None, factor: int) -> np.
     return np.array(coords)
 
 
+def half_axis(edges: np.ndarray, c: float) -> np.ndarray:
+    """The planes of `edges` that lie below c, ending on c itself.
+
+    A plane within roundoff of c is taken as c. When c falls inside a cell,
+    c replaces the plane just below it rather than being added, which would
+    add a cell across the block; only a first cell keeps its x = 0 plane.
+    """
+    tol = 1e-9 * float(edges[-1])
+    below = edges[edges < c - tol]
+    if not np.any(np.abs(edges - c) <= tol) and below.size > 1:
+        below = below[:-1]
+    return np.append(below, c)
+
+
 def build_mesh(geom: GeometrySpec, ref: RefinementSpec) -> TetMesh:
-    """Mesh the block and label the immersed prism.
+    """Mesh the x <= c half of the block and label the immersed prism.
+
+    c is the prism's center x, the block's mid x. The x axis is the graded
+    axis of the whole block cut at c (see half_axis); the faces on x = c
+    are tagged SYMMETRY.
 
     Material: tumor iff the tet centroid lies in the prism z-range and inside
     the base polygon (boundary counting as inside is delegated to the bulk
@@ -143,7 +184,7 @@ def build_mesh(geom: GeometrySpec, ref: RefinementSpec) -> TetMesh:
     """
     dims = geom.dims
     window = ref.refine_box if ref.refine_box is not None else geom.refine_window()
-    xs = graded_axis(dims.x_len, ref.nx, window[0], ref.local_factor)
+    xs = half_axis(graded_axis(dims.x_len, ref.nx, window[0], ref.local_factor), geom.center[0])
     ys = graded_axis(dims.y_len, ref.ny, window[1], ref.local_factor)
     zs = graded_axis(dims.z_len, ref.nz, window[2], ref.local_factor)
     nnx, nny, nnz = len(xs), len(ys), len(zs)
@@ -221,7 +262,7 @@ def _boundary_faces(corners, ii, jj, kk, ncx, ncy, ncz):
         FaceTag.BOTTOM: kk == 0,
         FaceTag.TOP: kk == ncz - 1,
         FaceTag.SIDE_X0: ii == 0,
-        FaceTag.SIDE_X1: ii == ncx - 1,
+        FaceTag.SYMMETRY: ii == ncx - 1,
         FaceTag.SIDE_Y0: jj == 0,
         FaceTag.SIDE_Y1: jj == ncy - 1,
     }

@@ -55,7 +55,7 @@ from .learn import (
     train_rbf,
     write_report_csv,
 )
-from .mesh import RefinementSpec, build_mesh
+from .mesh import FaceTag, RefinementSpec, build_mesh
 from .signature import FourierSignature, extract_profile, fit_fourier4, max_surface_temp
 from .textio import atomic_write_text, read_csv, write_csv
 
@@ -322,12 +322,14 @@ class ModelResult:
     signature: FourierSignature
     t_max_c: float
     x_max_m: float
-    elements: int
+    elements: int  # of the whole block, the mirrored half mesh
     nodes: int
     wall_time: float
     stage_s: dict  # seconds per stage: mesh, elastic (with deform), heat, profile_fit
     elastic_residual: float  # relative residuals of the two linear solves
     heat_residual: float
+    elastic_n_free: int  # size and upper bandwidth of the reduced elastic system
+    elastic_band: int
     field: ScalarField
     profile_x_m: np.ndarray
     profile_t_c: np.ndarray
@@ -341,7 +343,11 @@ def run_model(
     level: int | None = None,
     ambient_c: float | None = None,
 ) -> ModelResult:
-    """geometry -> mesh -> elastic -> deform -> heat -> profile -> signature."""
+    """geometry -> mesh -> elastic -> deform -> heat -> profile -> signature.
+
+    The x <= x_len/2 half of the block is solved (see build_mesh); the
+    profile and the element and node counts are those of the whole block.
+    """
     t0 = time.perf_counter()
     thermal = cfg.thermal
     if ambient_c is not None:
@@ -365,6 +371,7 @@ def run_model(
     sig = fit_fourier4(profile)
     x_max, t_max = max_surface_temp(profile)
     t_end = time.perf_counter()
+    elements, nodes = mesh.block_counts()
     return ModelResult(
         model_id=model_id(family, n),
         family=family.value,
@@ -372,8 +379,8 @@ def run_model(
         signature=sig,
         t_max_c=t_max,
         x_max_m=x_max,
-        elements=mesh.n_tets,
-        nodes=mesh.n_nodes,
+        elements=elements,
+        nodes=nodes,
         wall_time=t_end - t0,
         stage_s={
             "mesh": t_mesh - t0,
@@ -383,6 +390,8 @@ def run_model(
         },
         elastic_residual=elastic_stats.final_residual,
         heat_residual=heat_stats.final_residual,
+        elastic_n_free=elastic_stats.n_free,
+        elastic_band=elastic_stats.band,
         field=field,
         profile_x_m=profile.positions,
         profile_t_c=profile.temps,
@@ -399,7 +408,8 @@ class RunManifest:
     Each completed model records its signature row and artifact paths, so a
     dataset can be rebuilt without re-solving and interrupted sweeps resume
     where they stopped. A config-hash mismatch invalidates all entries.
-    Each entry also keeps the model's stage timings and solver residuals.
+    Each entry also keeps the model's stage timings, solver residuals and
+    the size and bandwidth of its reduced elastic system.
     """
 
     def __init__(self, path, cfg_hash: str, models: dict | None = None):
@@ -450,6 +460,8 @@ class RunManifest:
             "stage_s": result.stage_s,
             "elastic_residual": result.elastic_residual,
             "heat_residual": result.heat_residual,
+            "elastic_n_free": result.elastic_n_free,
+            "elastic_band": result.elastic_band,
             "signature": dict(zip(FEATURE_NAMES, (float(v) for v in sig.features()))),
             "fit_rmse_rel": sig.fit_rmse_rel,
             "t_max_c": result.t_max_c,
@@ -504,7 +516,8 @@ def _solve_job(args) -> ModelResult:
 
 def _write_model_artifacts(out_dir: Path, result: ModelResult, y_mid_mm: float) -> dict:
     """Centerline profile and mid-plane section of one model; one path per
-    MODEL_ARTIFACTS kind."""
+    MODEL_ARTIFACTS kind. The section covers the whole block: the solved
+    half's nodes, then their mirror images, the plane nodes written once."""
     rel_dir = Path("models") / result.model_id
     (out_dir / rel_dir).mkdir(parents=True, exist_ok=True)
     profile_rel = rel_dir / "profile.csv"
@@ -514,13 +527,14 @@ def _write_model_artifacts(out_dir: Path, result: ModelResult, y_mid_mm: float) 
         PROFILE_COLUMNS,
         list(zip(result.profile_x_m, result.profile_t_c)),
     )
-    nodes = result.field.mesh.nodes
-    keep = np.abs(nodes[:, 1] - y_mid_mm) <= SECTION_HALF_WIDTH_MM
-    write_csv(
-        out_dir / section_rel,
-        SECTION_COLUMNS,
-        zip(nodes[keep, 0], nodes[keep, 2], result.field.values[keep]),
-    )
+    mesh = result.field.mesh
+    x, z, t = mesh.nodes[:, 0], mesh.nodes[:, 2], result.field.values
+    keep = np.abs(mesh.nodes[:, 1] - y_mid_mm) <= SECTION_HALF_WIDTH_MM
+    mirror = keep.copy()  # the plane nodes are their own mirror images
+    mirror[mesh.boundary_nodes(FaceTag.SYMMETRY)] = False
+    rows = list(zip(x[keep], z[keep], t[keep]))
+    rows += zip(2.0 * mesh.symmetry_x - x[mirror], z[mirror], t[mirror])
+    write_csv(out_dir / section_rel, SECTION_COLUMNS, rows)
     return {"profile": str(profile_rel), "section": str(section_rel)}
 
 

@@ -1,8 +1,8 @@
 """Surface temperature profiles and their 4th-order Fourier signatures.
 
 The diagnostic quantity is the temperature along the centerline of the top
-surface (y = Y/2, full x extent). Each profile is compressed into 10 numbers
-by fitting
+surface (y = Y/2, full x extent, mirrored from the solved half block). Each
+profile is compressed into 10 numbers by fitting
 
     T(u) = a0 + sum_{i=1..4} [ a_i cos(i w u) + b_i sin(i w u) ]
 
@@ -93,21 +93,34 @@ def extract_profile(
     Sampling is barycentric on the tagged top faces (projected to xy), so it
     follows the deformed surface when the mesh was compressed. Pass the
     undeformed block extents explicitly for a compressed mesh (compression
-    only bulges the footprint outward, so the original path stays covered);
-    by default the path spans the top-face nodes. Positions come back in
-    meters.
+    only bulges the footprint outward, so the original path stays covered).
+    Positions come back in meters.
+
+    The mesh is the x <= c half of a mirror-symmetric block, with a SYMMETRY
+    plane at x = c (see build_mesh). The path covers the whole block and
+    must be symmetric about c; by default it runs from the least top-face x
+    to its mirror image. The field is sampled at the folded positions
+    min(x, 2c - x) of the first half of the path and mirrored onto the
+    second, so that T(x_i) == T(x_{S-1-i}) bit for bit.
     """
     if samples < 41:
         raise ParameterError("need at least 41 samples")
     mesh = field.mesh
+    c = mesh.symmetry_x
+    if c is None:
+        raise ParameterError("profile needs a half-block mesh with a SYMMETRY plane")
     top_xy = mesh.nodes[mesh.boundary_nodes(FaceTag.TOP), :2]
-    if x_range_mm is None:
-        x_range_mm = (float(top_xy[:, 0].min()), float(top_xy[:, 0].max()))
+    x0 = float(top_xy[:, 0].min())
+    lo, hi = x_range_mm if x_range_mm is not None else (x0, 2.0 * c - x0)
+    if abs(lo + hi - 2.0 * c) > 1e-9 * (hi - lo):
+        raise ParameterError(f"profile path [{lo}, {hi}] mm is not symmetric about x = {c} mm")
     if y_mid_mm is None:
         y_mid_mm = 0.5 * float(top_xy[:, 1].min() + top_xy[:, 1].max())
-    x_mm = np.linspace(x_range_mm[0], x_range_mm[1], samples)
-    pts = np.column_stack([x_mm, np.full(samples, y_mid_mm)])
-    temps = surface_values(field, pts)
+    x_mm = np.linspace(lo, hi, samples)
+    k = (samples + 1) // 2
+    folded = np.minimum(x_mm[:k], 2.0 * c - x_mm[:k])
+    half = surface_values(field, np.column_stack([folded, np.full(k, y_mid_mm)]))
+    temps = np.concatenate([half, half[samples - k - 1 :: -1]])
     return SurfaceProfile(positions=x_mm * 1e-3, temps=temps)
 
 

@@ -3,7 +3,8 @@
 Everything here is deliberately written by a different route than the code
 under test: containment via summed winding angles, areas via triangle fans,
 the 1-D slab temperature profile in closed form, stiffness matrices summed
-block by block through COO matrices.
+block by block through COO matrices, the whole block as an explicit mirror
+image of the solved half mesh.
 """
 
 import math
@@ -141,3 +142,35 @@ def thermal_stiffness(mesh, params):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
     return coo.tocsr()
+
+
+def mirror_mesh(half):
+    """The whole-block mesh of a half mesh with a SYMMETRY plane x = c.
+
+    Every node off the plane gets an image at x -> 2c - x; each tet gets a
+    mirrored copy with two vertices swapped, so its volume stays positive;
+    the tagged faces are mirrored likewise and the plane faces dropped, so
+    the whole block has no SYMMETRY faces. Returns the mesh and `image`, the
+    whole-mesh index of each half node's mirror image (plane nodes map to
+    themselves).
+    """
+    from tactherm.mesh import FaceTag, TetMesh
+
+    plane = half.face_tags == FaceTag.SYMMETRY
+    on_plane = np.zeros(half.n_nodes, dtype=bool)
+    on_plane[half.faces[plane].ravel()] = True
+    c = half.nodes[on_plane, 0][0]
+    image = np.arange(half.n_nodes)
+    image[~on_plane] = half.n_nodes + np.arange(int((~on_plane).sum()))
+    reflected = half.nodes[~on_plane] * np.array([-1.0, 1.0, 1.0]) + np.array([2.0 * c, 0.0, 0.0])
+    faces = half.faces[~plane]
+    tags = half.face_tags[~plane]
+    whole = TetMesh(
+        nodes=np.vstack([half.nodes, reflected]),
+        tets=np.vstack([half.tets, image[half.tets][:, [1, 0, 2, 3]]]),
+        material=np.concatenate([half.material, half.material]),
+        faces=np.vstack([faces, image[faces][:, [1, 0, 2]]]),
+        face_tags=np.concatenate([tags, tags]),
+        tumor_frac=np.concatenate([half.tumor_frac, half.tumor_frac]),
+    )
+    return whole, image

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,10 +64,18 @@ def test_geometry_and_mesh_commands(tiny_cfg_path, tmp_path, capsys):
     assert cli.main(["--config", str(tiny_cfg_path), "geometry",
                      "--family", "star", "--n", "7", "--csv", str(csv)]) == 0
     assert csv.exists()
+    text = tmp_path / "mesh.txt"
     assert cli.main(["--config", str(tiny_cfg_path), "mesh",
-                     "--family", "polygon", "--n", "4"]) == 0
+                     "--family", "polygon", "--n", "4", "--text", str(text)]) == 0
     out = capsys.readouterr().out
     assert "tets" in out and "tumor volume" in out
+    # whole-block counts; the text file holds the solved half
+    whole_tets, half_tets = (int(v) for v in re.findall(r"(\d+) tets", out))
+    assert whole_tets == 2 * half_tets
+    assert "tumor volume 3200.00 mm^3" in out
+    lines = text.read_text().splitlines()
+    assert f"tets {half_tets}" in lines
+    assert any(line.endswith(" SYMMETRY") for line in lines)
 
 
 def test_solve_command_reports_signature(tiny_cfg_path, capsys):
@@ -74,6 +83,10 @@ def test_solve_command_reports_signature(tiny_cfg_path, capsys):
                      "--family", "polygon", "--n", "5", "--energy"]) == 0
     out = capsys.readouterr().out
     assert "T_max" in out and "rad/m" in out and "energy:" in out
+    # whole-block watts: q times the prism volume, less the compression of
+    # the tumor (well under 1 %)
+    generated = float(re.search(r"generated ([0-9.]+) W", out).group(1))
+    assert generated == pytest.approx(1.0e5 * 400.0 * 8.0 * 1e-9, rel=0.01)
 
 
 def test_sweep_learn_figures_flow(tiny_cfg_path, tmp_path, capsys):

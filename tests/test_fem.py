@@ -336,7 +336,8 @@ def test_plan_shared_within_a_level_and_rebuilt_across_levels(monkeypatch):
     solve_elastic(finer, params)
     assert len(builds) == 2 and builds[1][0] == finer.n_tets
 
-    for nx in range(4, 4 + 2 * fem._PLAN_CACHE_SIZE):
+    # even nx: each gives the half block another cell count, so a new plan
+    for nx in range(4, 4 + 4 * fem._PLAN_CACHE_SIZE, 2):
         solve_heat(family_mesh(ShapeFamily.STAR_POLYGON, 5, spec=(nx, 2, 2, 1)), ThermalParams())
         assert len(fem._plans) <= fem._PLAN_CACHE_SIZE
     before = len(builds)
@@ -362,3 +363,39 @@ def test_assembled_reduced_systems_match_block_reference():
         x = np.linspace(-1.0, 2.0, free.size)
         full = reference @ x
         assert np.linalg.norm(plan.matvec(vals, x) - full) <= 1e-12 * np.linalg.norm(full)
+
+
+@pytest.mark.parametrize("family", [ShapeFamily.REGULAR_POLYGON, ShapeFamily.STAR_POLYGON])
+def test_mirrored_half_solve_matches_whole_block_solve(family):
+    # nx 7: x = 60 falls inside a cell and replaces the plane below it
+    geom = place_prism(TumorShape(family, n=7), TissueDims())
+    half = build_mesh(geom, RefinementSpec(7, 3, 3, local_factor=2))
+    whole, image = oracles.mirror_mesh(half)
+    assert whole.symmetry_x is None and whole.tet_volumes().min() > 0
+    n = half.n_nodes
+
+    def close(got, want):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    u_half, _ = solve_elastic(half, ElasticParams())
+    u_whole, _ = solve_elastic(whole, ElasticParams())
+    close(u_whole.values[:n], u_half.values)
+    close(u_whole.values[image], u_half.values * np.array([-1.0, 1.0, 1.0]))
+
+    params = ThermalParams()
+    t_half, _ = solve_heat(deform_mesh(half, u_half), params, method="direct")
+    t_whole, _ = solve_heat(deform_mesh(whole, u_whole), params, method="direct")
+    # relative to the temperature rise, the part the solve computes
+    rise_half, rise_whole = t_half.values - params.t_ambient, t_whole.values - params.t_ambient
+    close(rise_whole[:n], rise_half)
+    close(rise_whole[image], rise_half)
+
+    # the half's energy terms are doubled to whole-block watts
+    half_bal, whole_bal = energy_balance(t_half, params), energy_balance(t_whole, params)
+    for got, want in zip(
+        (half_bal.generated_w, half_bal.outflow_top_w, half_bal.outflow_bottom_w),
+        (whole_bal.generated_w, whole_bal.outflow_top_w, whole_bal.outflow_bottom_w),
+    ):
+        assert got == pytest.approx(want, rel=1e-12)
+    undeformed = energy_balance(ScalarField(half, np.full(n, 30.0)), params)
+    assert undeformed.generated_w == pytest.approx(params.q_tumor * 400.0 * 8.0 * 1e-9, rel=1e-12)

@@ -68,6 +68,25 @@ def test_normalizer_basics():
     assert far[0, 0] == pytest.approx(3.0)
 
 
+def test_normalizer_leaves_a_roundoff_only_feature_dead():
+    # b1..b4 of a mirror-symmetric profile are fit roundoff of about 1e-14
+    rng = np.random.default_rng(3)
+    x = np.column_stack([rng.uniform(0.0, 1.0, 12), rng.uniform(-1e-14, 1e-14, 12)])
+    norm = fit_normalizer(x)
+    got = norm.transform(x)
+    np.testing.assert_array_equal(got[:, 1], 0.0)
+    assert got[:, 0].min() == -1.0 and got[:, 0].max() == 1.0
+    # a span just above the floor is still scaled
+    live = fit_normalizer(np.array([[0.0], [2e-10]])).transform(np.array([[0.0], [2e-10]]))
+    np.testing.assert_allclose(live.ravel(), [-1.0, 1.0])
+    # the dead column does not move a prediction
+    y = np.arange(12.0)
+    model = train_rbf(x, y)
+    jittered = x.copy()
+    jittered[:, 1] = -jittered[:, 1]
+    np.testing.assert_array_equal(predict(model, jittered), predict(model, x))
+
+
 def test_normalizer_idempotent_on_normalized_data():
     rng = np.random.default_rng(7)
     x = rng.uniform(-3.0, 9.0, size=(40, 6))

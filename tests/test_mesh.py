@@ -13,6 +13,7 @@ from tactherm.mesh import (
     TetMesh,
     build_mesh,
     graded_axis,
+    half_axis,
     mesh_quality,
     write_mesh_text,
 )
@@ -30,11 +31,12 @@ def cube_geom():
 
 
 def test_single_hex_decomposition():
+    # one cell across the block: the solved half is one 0.5 x 1 x 1 hex
     mesh = build_mesh(cube_geom(), RefinementSpec(1, 1, 1))
     assert mesh.n_tets == 6
     vols = mesh.tet_volumes()
-    np.testing.assert_allclose(vols, 1.0 / 6.0, rtol=1e-14)
-    assert mesh.faces.shape[0] == 12  # 2 triangles per block face
+    np.testing.assert_allclose(vols, 0.5 / 6.0, rtol=1e-14)
+    assert mesh.faces.shape[0] == 12  # 2 triangles per face of the half block
     for tag in FaceTag:
         assert np.count_nonzero(mesh.face_tags == tag) == 2
 
@@ -42,8 +44,8 @@ def test_single_hex_decomposition():
 def test_volume_partition():
     geom = default_geom()
     mesh = build_mesh(geom, RefinementSpec(12, 6, 5, local_factor=2))
-    block = 120.0 * 60.0 * 25.0
-    assert abs(mesh.tet_volumes().sum() - block) / block < 1e-12
+    half_block = 60.0 * 60.0 * 25.0
+    assert abs(mesh.tet_volumes().sum() - half_block) / half_block < 1e-12
 
 
 def test_all_tets_positive():
@@ -52,6 +54,7 @@ def test_all_tets_positive():
 
 
 def test_boundary_faces_tile_each_block_face():
+    # faces of the solved x <= 60 half; the x = 60 plane is SYMMETRY
     geom = default_geom()
     mesh = build_mesh(geom, RefinementSpec(6, 4, 3, local_factor=2))
     p = mesh.nodes[mesh.faces]
@@ -59,12 +62,12 @@ def test_boundary_faces_tile_each_block_face():
         np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1
     )
     want = {
-        FaceTag.BOTTOM: 120.0 * 60.0,
-        FaceTag.TOP: 120.0 * 60.0,
+        FaceTag.BOTTOM: 60.0 * 60.0,
+        FaceTag.TOP: 60.0 * 60.0,
         FaceTag.SIDE_X0: 60.0 * 25.0,
-        FaceTag.SIDE_X1: 60.0 * 25.0,
-        FaceTag.SIDE_Y0: 120.0 * 25.0,
-        FaceTag.SIDE_Y1: 120.0 * 25.0,
+        FaceTag.SYMMETRY: 60.0 * 25.0,
+        FaceTag.SIDE_Y0: 60.0 * 25.0,
+        FaceTag.SIDE_Y1: 60.0 * 25.0,
     }
     for tag, expect in want.items():
         got = areas[mesh.face_tags == tag].sum()
@@ -90,7 +93,7 @@ def test_interior_faces_shared_by_two_tets():
 def test_tumor_labeling_volume():
     geom = default_geom()
     mesh = build_mesh(geom, RefinementSpec(14, 7, 6, local_factor=3))
-    prism_vol = 400.0 * 8.0
+    prism_vol = 400.0 * 8.0 / 2.0  # the half in the solved x <= 60 block
     labeled = mesh.tet_volumes()[mesh.material == Material.TUMOR].sum()
     assert abs(labeled - prism_vol) / prism_vol < 0.05
     # the fractional labels integrate to the prism volume exactly
@@ -102,7 +105,7 @@ def test_tumor_fraction_exact_for_star():
     geom = default_geom(ShapeFamily.STAR_POLYGON, n=7)
     mesh = build_mesh(geom, RefinementSpec(12, 6, 5, local_factor=2))
     frac_vol = float(np.dot(mesh.tet_volumes(), mesh.tumor_frac))
-    assert frac_vol == pytest.approx(3200.0, rel=1e-12)
+    assert frac_vol == pytest.approx(3200.0 / 2.0, rel=1e-12)  # the solved half
     assert mesh.tumor_frac.min() >= 0.0
     assert mesh.tumor_frac.max() <= 1.0 + 1e-12
 
@@ -113,9 +116,21 @@ def test_binary_labeling_error_shrinks_with_refinement():
     for f in (1, 2, 4):
         mesh = build_mesh(geom, RefinementSpec(12, 6, 5, local_factor=f))
         labeled = mesh.tet_volumes()[mesh.material == Material.TUMOR].sum()
-        errs.append(abs(labeled - 3200.0) / 3200.0)
+        errs.append(abs(labeled - 1600.0) / 1600.0)  # the solved half of 3200
     assert errs[2] < errs[0]
     assert errs[2] < 0.05
+
+
+def test_half_axis_ends_on_the_mirror_plane():
+    edges = np.array([0.0, 10.0, 20.0, 30.0, 40.0])
+    # c on a plane: the axis is cut there
+    np.testing.assert_array_equal(half_axis(edges, 20.0), [0.0, 10.0, 20.0])
+    # c inside a cell: c replaces the plane just below it, adding no cell
+    np.testing.assert_array_equal(half_axis(edges, 25.0), [0.0, 10.0, 25.0])
+    # a plane within roundoff of c is taken as c
+    np.testing.assert_array_equal(half_axis(edges + [0, 0, 1e-12, 0, 0], 20.0), [0.0, 10.0, 20.0])
+    # inside the first cell, the x = 0 plane stays
+    np.testing.assert_array_equal(half_axis(edges, 5.0), [0.0, 5.0])
 
 
 def test_graded_axis_counts():
@@ -148,7 +163,7 @@ def test_mesh_quality_report():
     q = mesh_quality(mesh)
     assert isinstance(q, QualityReport)
     assert q.min_volume == pytest.approx((0.5**3) / 6.0, rel=1e-12)
-    assert q.total_volume == pytest.approx(1.0, rel=1e-12)
+    assert q.total_volume == pytest.approx(0.5, rel=1e-12)  # the solved half
     assert 0.0 < q.min_dihedral_deg < q.mean_dihedral_deg < 180.0
     assert q.max_aspect >= 1.0
     assert sum(q.aspect_histogram) == mesh.n_tets

@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
+import tactherm.fem as fem
 from tactherm.errors import ArtifactError, ParameterError
 from tactherm.geometry import ShapeFamily, place_prism
 from tactherm.learn import load_model, predict
+from tactherm.mesh import FaceTag, build_mesh
 from tactherm.pipeline import (
     LearnSpec,
     MeshLevels,
@@ -102,6 +104,19 @@ def test_sweep_solves_resumes_and_builds_dataset(tmp_path):
         assert (model_dir / "section.csv").exists()
         assert (model_dir / "profile.csv").exists()
         assert not (model_dir / "field.csv").exists()
+    # the section covers the whole block: the solved half, then its mirror
+    # image, the x = 60 mm plane nodes once
+    section = np.loadtxt(model_dir / "section.csv", delimiter=",", skiprows=1)
+    left = section[section[:, 0] < 60.0]
+    right = section[section[:, 0] > 60.0] * np.array([-1.0, 1.0, 1.0]) + np.array([120.0, 0.0, 0.0])
+    assert len(left) == len(right) > 0
+
+    def by_row(a):
+        return a[np.lexsort(a.T[::-1])]
+
+    np.testing.assert_allclose(by_row(right), by_row(left), atol=1e-9)
+    plane = section[section[:, 0] == 60.0]
+    assert len(plane) == len(np.unique(plane, axis=0)) > 0
 
     again = run_sweep(cfg, POLY)
     assert not again.solved and len(again.skipped) == 4
@@ -168,6 +183,11 @@ def test_manifest_records_solver_stats_and_stage_timings(tmp_path, caplog):
         assert sum(entry["stage_s"].values()) <= entry["wall_time"]
         assert 0.0 <= entry["elastic_residual"] <= 1e-10
         assert 0.0 <= entry["heat_residual"] <= 1e-10
+        plan = fem._scatter_plan(
+            build_mesh(place_prism(tumor_shape(cfg, POLY, n), cfg.tissue), refinement_spec(cfg, POLY)),
+            "elastic",
+        )
+        assert (entry["elastic_n_free"], entry["elastic_band"]) == (plan.perm.size, plan.band)
     lines = [r.getMessage() for r in caplog.records if r.name == "tactherm.pipeline"]
     assert len(lines) == 2
     assert lines[0].startswith("polygon-n003 ok in ") and "residuals elastic" in lines[0]
@@ -353,3 +373,31 @@ def test_sweep_with_worker_pool_matches_serial(tmp_path):
     a = (tmp_path / "serial" / "dataset_polygon.csv").read_bytes()
     b = (tmp_path / "pooled" / "dataset_polygon.csv").read_bytes()
     assert a == b
+
+
+def test_level0_models_are_mirror_symmetric_and_share_one_plan(monkeypatch):
+    """Production level 0 solves the x <= 60 mm half: the profile is mirror
+    symmetric bit for bit, so the sine coefficients are fit roundoff, and
+    the counts are those of the whole block."""
+    cfg = StudyConfig()
+    monkeypatch.setattr(fem, "_plans", {})
+    builds = []
+    real = fem._build_plan
+
+    def counting(mesh, kind):
+        builds.append(kind)
+        return real(mesh, kind)
+
+    monkeypatch.setattr(fem, "_build_plan", counting)
+    for family in (POLY, STAR):
+        result = run_model(cfg, family, 10)
+        np.testing.assert_array_equal(result.profile_t_c, result.profile_t_c[::-1])
+        assert max(abs(b) for b in result.signature.b) <= 1e-12
+        mesh = build_mesh(place_prism(tumor_shape(cfg, family, 10), cfg.tissue),
+                          refinement_spec(cfg, family))
+        plane = mesh.boundary_nodes(FaceTag.SYMMETRY)
+        assert np.all(mesh.nodes[plane, 0] == 60.0) and mesh.nodes[:, 0].max() == 60.0
+        # ncx 23 across the block: x = 60 replaced the plane below it
+        assert result.elements == 2 * mesh.n_tets == 21_120
+        assert result.nodes == 2 * mesh.n_nodes - plane.size
+    assert sorted(builds) == ["elastic", "thermal"]  # both families, one plan each

@@ -142,7 +142,14 @@ def test_extract_profile_samples_spacing():
     prof = extract_profile(field, samples=121)
     d = np.diff(prof.positions)
     np.testing.assert_allclose(d, 0.001, rtol=1e-12)  # 1 mm in meters
-    # field = x (mm): profile temps must equal sample positions in mm
-    np.testing.assert_allclose(prof.temps, prof.positions * 1e3, rtol=1e-10)
+    # field = x (mm) on the solved x <= 60 half: the profile reads the
+    # mirrored field, min(x, 120 - x), at every sample position
+    x_mm = prof.positions * 1e3
+    np.testing.assert_allclose(prof.temps, np.minimum(x_mm, 120.0 - x_mm), rtol=1e-10)
     with pytest.raises(ParameterError):
         extract_profile(field, samples=11)
+    with pytest.raises(ParameterError, match="not symmetric"):
+        extract_profile(field, x_range_mm=(0.0, 100.0))
+    whole, _ = oracles.mirror_mesh(mesh)
+    with pytest.raises(ParameterError, match="SYMMETRY"):
+        extract_profile(ScalarField(whole, np.zeros(whole.n_nodes)))
