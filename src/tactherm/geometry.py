@@ -219,37 +219,6 @@ def place_prism(shape: TumorShape, dims: TissueDims) -> GeometrySpec:
     )
 
 
-# Points within this distance (mm) of an edge count as on the boundary.
-BOUNDARY_TOL = 1e-12
-
-
-def point_in_polygon(p, poly: Polygon2D) -> bool:
-    """Even-odd containment test; boundary points count as inside.
-
-    A point within BOUNDARY_TOL of an edge is classified as boundary. For
-    strictly interior/exterior points this is the standard crossing-number
-    rule with half-open edges.
-    """
-    px, py = float(p[0]), float(p[1])
-    v = poly.vertices
-    x1, y1 = v[:, 0], v[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-
-    # Boundary check: distance from p to each edge segment.
-    ex, ey = x2 - x1, y2 - y1
-    seg2 = ex * ex + ey * ey
-    t = np.clip(((px - x1) * ex + (py - y1) * ey) / seg2, 0.0, 1.0)
-    dx, dy = px - (x1 + t * ex), py - (y1 + t * ey)
-    if np.min(dx * dx + dy * dy) <= BOUNDARY_TOL**2:
-        return True
-
-    crossing = (y1 > py) != (y2 > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_hit = x1 + (py - y1) * ex / ey
-    inside = np.count_nonzero(crossing & (px < x_hit)) % 2 == 1
-    return bool(inside)
-
-
 def points_in_polygon(points: np.ndarray, poly: Polygon2D) -> np.ndarray:
     """Vectorized crossing-number test for an (N, 2) point array.
 
@@ -269,60 +238,49 @@ def points_in_polygon(points: np.ndarray, poly: Polygon2D) -> np.ndarray:
     return (np.count_nonzero(hits, axis=1) % 2).astype(bool)
 
 
-def clip_polygon_to_rect(vertices: np.ndarray, x0, x1, y0, y1) -> np.ndarray:
-    """Sutherland-Hodgman clip of a polygon against an axis-aligned rectangle.
+def grid_cell_areas(poly: Polygon2D, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Area of poly ∩ [xs[i], xs[i+1]] x [ys[j], ys[j+1]] for every cell of a
+    rectilinear grid, as an (len(xs) - 1, len(ys) - 1) array (mm²).
 
-    Returns the clipped vertex array (possibly empty). The subject polygon may
-    be non-convex; the output is suitable for area computation.
+    One table of quadrant areas Q(X, Y) = area(poly ∩ {x <= X, y <= Y}) at
+    the grid lines gives every cell by inclusion-exclusion of its corners.
+    By Green's theorem Q(X, Y) is the sum over the edges of
+    ∫ min(x, X) · 1[y <= Y] dy, and on a straight edge that integral has a
+    closed form. Cells off the polygon's bounding box get exactly 0; the
+    others are clipped into [0, cell area], which removes the ±1e-15
+    roundoff of the inclusion-exclusion.
     """
-    poly = [(float(x), float(y)) for x, y in vertices]
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    v = poly.vertices
+    x1, y1 = v[:, 0, None], v[:, 1, None]
+    x2, y2 = np.roll(v[:, 0], -1)[:, None], np.roll(v[:, 1], -1)[:, None]
+    # each edge's part below y = Y runs from ya = min(y1, Y) to yb = min(y2, Y)
+    ya, yb = np.minimum(y1, ys), np.minimum(y2, ys)  # (edges, Y lines)
+    dy = y2 - y1
+    slope = np.divide(x2 - x1, dy, out=np.zeros_like(dy), where=dy != 0.0)
+    xa = (x1 + (ya - y1) * slope)[:, :, None]  # (edges, Y lines, 1)
+    xb = (x1 + (yb - y1) * slope)[:, :, None]
+    # mean of min(x, X) over the clipped edge: the mean of x less the mean
+    # of max(x - X, 0), which is a trapezoid or, where x crosses X, a triangle
+    pa, pb = xa - xs, xb - xs  # (edges, Y lines, X lines)
+    cross = (pa > 0.0) != (pb > 0.0)
+    excess = np.where(
+        cross,
+        (np.maximum(pa, 0.0) ** 2 + np.maximum(pb, 0.0) ** 2)
+        / (2.0 * np.where(cross, np.abs(pb - pa), 1.0)),
+        np.maximum(0.5 * (pa + pb), 0.0),
+    )
+    quad = np.einsum("ej,eji->ij", yb - ya, 0.5 * (xa + xb) - excess)  # Q(X, Y)
+    area = quad[1:, 1:] - quad[:-1, 1:] - quad[1:, :-1] + quad[:-1, :-1]
 
-    def clip_half(pts, inside, intersect):
-        out = []
-        if not pts:
-            return out
-        prev = pts[-1]
-        prev_in = inside(prev)
-        for cur in pts:
-            cur_in = inside(cur)
-            if cur_in:
-                if not prev_in:
-                    out.append(intersect(prev, cur))
-                out.append(cur)
-            elif prev_in:
-                out.append(intersect(prev, cur))
-            prev, prev_in = cur, cur_in
-        return out
-
-    def x_cut(level):
-        def intersect(a, b):
-            t = (level - a[0]) / (b[0] - a[0])
-            return (level, a[1] + t * (b[1] - a[1]))
-
-        return intersect
-
-    def y_cut(level):
-        def intersect(a, b):
-            t = (level - a[1]) / (b[1] - a[1])
-            return (a[0] + t * (b[0] - a[0]), level)
-
-        return intersect
-
-    poly = clip_half(poly, lambda p: p[0] >= x0, x_cut(x0))
-    poly = clip_half(poly, lambda p: p[0] <= x1, x_cut(x1))
-    poly = clip_half(poly, lambda p: p[1] >= y0, y_cut(y0))
-    poly = clip_half(poly, lambda p: p[1] <= y1, y_cut(y1))
-    if len(poly) < 3:
-        return np.empty((0, 2))
-    return np.array(poly)
-
-
-def clipped_area(poly: Polygon2D, x0, x1, y0, y1) -> float:
-    """Area of polygon ∩ rectangle (mm²)."""
-    clipped = clip_polygon_to_rect(poly.vertices, x0, x1, y0, y1)
-    if clipped.shape[0] < 3:
-        return 0.0
-    return abs(shoelace_area(clipped))
+    xmin, ymin, xmax, ymax = poly.bounding_box()
+    off_x = (xs[1:] <= xmin) | (xs[:-1] >= xmax)
+    off_y = (ys[1:] <= ymin) | (ys[:-1] >= ymax)
+    cell = np.outer(np.diff(xs), np.diff(ys))
+    area = np.clip(area, 0.0, cell)
+    area[off_x[:, None] | off_y[None, :]] = 0.0
+    return area
 
 
 def write_polygon_csv(poly: Polygon2D, path) -> None:

@@ -10,8 +10,8 @@ A graded tensor-product hex grid (finer inside a box around the inclusion) is
 split into 6 tets per hex with a fixed diagonal pattern, so meshes are fully
 deterministic. The inclusion is immersed: elements are labeled tumor/tissue by
 a centroid test, and each element additionally carries the exact volume
-fraction it shares with the prism (polygon clipping in-plane times interval
-overlap in z), which sums to the exact volume of the prism's half.
+fraction it shares with the prism (the polygon's area in its grid column
+times the interval overlap in z), which sums to the exact volume of the prism's half.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import GeometrySpec, clipped_area, points_in_polygon
+from .geometry import GeometrySpec, grid_cell_areas, points_in_polygon
 from .textio import atomic_write_text, fmt
 
 
@@ -218,28 +218,23 @@ def build_mesh(geom: GeometrySpec, ref: RefinementSpec) -> TetMesh:
     # cell-major: the 6 tets of a hex are consecutive
     tets = corners[:, HEX_TO_TETS].reshape(-1, 4).astype(np.int32)
 
-    # binary centroid labels
-    centroids = nodes[tets].mean(axis=1)
-    material = np.zeros(tets.shape[0], dtype=np.uint8)
-    in_z = (centroids[:, 2] >= geom.z_lo) & (centroids[:, 2] <= geom.z_hi)
+    # binary centroid labels: a tet's centroid xy depends only on its column
+    # and its place in the hex, and its z only on its layer and that place,
+    # so one layer of xy and one column of z are tested and broadcast
+    per_cell = tets.reshape(ncx, ncy, ncz, 6, 4)
+    xy = nodes[per_cell[:, :, 0], :2].mean(axis=-2)  # (ncx, ncy, 6, 2)
+    z = nodes[per_cell[0, 0], 2].mean(axis=-1)  # (ncz, 6)
+    in_z = (z >= geom.z_lo) & (z <= geom.z_hi)
+    material = np.zeros((ncx, ncy, ncz, 6), dtype=np.uint8)
     if np.any(in_z):
-        rel = centroids[in_z, :2] - np.array(geom.center)
-        material[np.flatnonzero(in_z)[points_in_polygon(rel, geom.base_polygon)]] = (
-            Material.TUMOR
-        )
+        rel = xy.reshape(-1, 2) - np.array(geom.center)
+        inside = points_in_polygon(rel, geom.base_polygon).reshape(ncx, ncy, 1, 6)
+        material[inside & in_z] = Material.TUMOR
+    material = material.ravel()
 
     # exact per-hex fractions: in-plane clipped area times z-interval overlap
-    cx, cy = geom.center
-    col_frac = np.zeros((ncx, ncy))
-    for i in range(ncx):
-        if xs[i + 1] - cx < -geom.base_polygon.max_radius or xs[i] - cx > geom.base_polygon.max_radius:
-            continue
-        for j in range(ncy):
-            area = clipped_area(
-                geom.base_polygon, xs[i] - cx, xs[i + 1] - cx, ys[j] - cy, ys[j + 1] - cy
-            )
-            if area > 0.0:
-                col_frac[i, j] = area / ((xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j]))
+    xr, yr = xs - geom.center[0], ys - geom.center[1]
+    col_frac = grid_cell_areas(geom.base_polygon, xr, yr) / np.outer(np.diff(xr), np.diff(yr))
     z_over = np.maximum(
         0.0, np.minimum(zs[1:], geom.z_hi) - np.maximum(zs[:-1], geom.z_lo)
     ) / np.diff(zs)

@@ -124,30 +124,95 @@ def extract_profile(
     return SurfaceProfile(positions=x_mm * 1e-3, temps=temps)
 
 
-def _design(u: np.ndarray, w: float) -> np.ndarray:
-    cols = [np.ones_like(u)]
-    for i in range(1, N_HARMONICS + 1):
-        cols.append(np.cos(i * w * u))
-        cols.append(np.sin(i * w * u))
-    return np.column_stack(cols)
+# w is scanned on this many points over [0.5, 1.5] * 2*pi/span
+SCAN_POINTS = 241
+# the root refine stops once its bracket is this narrow, relative to
+# 2*pi/span, or after this many steps
+W_TOL = 1e-14
+ROOT_STEPS = 36
 
 
-def _projected_sse(u, t, w) -> float:
-    A = _design(u, w)
-    _, res, rank, _ = np.linalg.lstsq(A, t)
-    if rank < A.shape[1] or res.size == 0:
-        r = t - A @ np.linalg.lstsq(A, t)[0]
-        return float(r @ r)
-    return float(res[0])
+def _augmented(u: np.ndarray, t: np.ndarray, w) -> np.ndarray:
+    """The design at the frequency or frequencies w with t as a last column:
+    (..., S, 10), columns 1, cos(wu), sin(wu), ..., cos(4wu), sin(4wu), t.
+
+    The harmonics come by angle addition: viewed as complex numbers, each
+    (cos, sin) column pair is the one before times e^(iwu)."""
+    theta = np.multiply.outer(w, u)
+    A = np.empty(theta.shape + (2 * N_HARMONICS + 2,))
+    A[..., 0] = 1.0
+    A[..., -1] = t
+    z = A[..., 1:-1].view(complex)  # (..., S, N_HARMONICS)
+    z[..., 0].real = np.cos(theta)
+    z[..., 0].imag = np.sin(theta)
+    for i in range(1, N_HARMONICS):
+        np.multiply(z[..., i - 1], z[..., 0], out=z[..., i])
+    return A
+
+
+def _fit_at(u, t, w: float):
+    """Design, nine coefficients and residual of the least-squares fit of t
+    at w, from the QR factor R of the augmented design: its leading 9 x 9
+    block and last column give the coefficients."""
+    A = _augmented(u, t, w)
+    R = np.linalg.qr(A, mode="r")
+    coef = np.linalg.solve(R[:-1, :-1], R[:-1, -1])
+    return A[:, :-1], coef, t - A[:, :-1] @ coef
+
+
+def _sse_slope(u, t, w: float) -> float:
+    """dSSE/dw of the projected fit at w: -2 r^T (dA/dw) c.
+
+    The coefficients' own change with w does not enter, because the
+    residual r is orthogonal to the columns of the design A (variable
+    projection)."""
+    A, coef, resid = _fit_at(u, t, w)
+    i = np.arange(1, N_HARMONICS + 1)
+    dA_c = u * (A[:, 1::2] @ (i * coef[2::2]) - A[:, 2::2] @ (i * coef[1::2]))
+    return -2.0 * float(resid @ dA_c)
+
+
+def _illinois_root(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
+    """Root of f in [a, b], where fa < 0 < fb, by regula falsi with the
+    Illinois rule: an end kept twice in a row has its value halved, so both
+    ends move. A step that leaves the bracket is replaced by bisection."""
+    kept = 0  # -1: a was kept by the last step, +1: b was
+    for _ in range(ROOT_STEPS):
+        if b - a <= xtol:
+            break
+        x = b - fb * (b - a) / (fb - fa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+            if not a < x < b:
+                break
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            a, fa = x, fx
+            if kept == +1:
+                fb *= 0.5
+            kept = +1
+        else:
+            b, fb = x, fx
+            if kept == -1:
+                fa *= 0.5
+            kept = -1
+    return 0.5 * (a + b)
 
 
 def fit_fourier4(profile: SurfaceProfile) -> FourierSignature:
-    """Least-squares Fourier fit with scanned + golden-section-refined w.
+    """Least-squares Fourier fit with a scanned, root-refined w.
 
     For each candidate w the nine linear coefficients are solved exactly
-    (variable projection); w itself is located by a coarse scan over
-    [0.5, 1.5] * 2*pi/span followed by golden-section refinement, which keeps
-    the whole fit deterministic and derivative-free.
+    (variable projection). w is scanned on SCAN_POINTS points over
+    [0.5, 1.5] * 2*pi/span, all at once, and the best grid point is refined
+    to the root of dSSE/dw in the grid cell beside it on the downhill side.
+    The SSE is flat at its minimum, so locating the minimum through the
+    root of its derivative pins w down far more closely than comparing SSE
+    values can. Where the slope keeps its sign across that cell, which
+    happens only at an end of the scan, w stays on the grid point. The fit
+    is deterministic.
     """
     t = profile.temps
     t_range = float(t.max() - t.min())
@@ -155,47 +220,42 @@ def fit_fourier4(profile: SurfaceProfile) -> FourierSignature:
         raise DegenerateFitError("flat profile: fundamental frequency is indeterminate")
     mid = 0.5 * (profile.positions[0] + profile.positions[-1])
     u = profile.positions - mid
+    t_mean = float(t.mean())
+    tc = t - t_mean  # the design holds the constant, so centering keeps the fit
 
     w_base = 2.0 * math.pi / profile.span
-    lo, hi = 0.5 * w_base, 1.5 * w_base
-    grid = np.linspace(lo, hi, 241)
-    sse = np.array([_projected_sse(u, t, w) for w in grid])
+    grid = np.linspace(0.5 * w_base, 1.5 * w_base, SCAN_POINTS)
+    # the last diagonal entry of R of the augmented design is the residual norm
+    sse = np.linalg.qr(_augmented(u, tc, grid), mode="r")[:, -1, -1] ** 2
     # a profile that some w fits exactly is also fit exactly at w/2 (through
     # the even harmonics); break those near-machine ties toward the largest
     # candidate, which is the fundamental
-    tc = t - t.mean()
     tol = sse.min() + 1e-12 * float(tc @ tc)
     best = int(np.flatnonzero(sse <= tol)[-1])
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, grid.size - 1)]
 
-    # golden-section refine on [a, b]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = _projected_sse(u, t, c), _projected_sse(u, t, d)
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _projected_sse(u, t, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _projected_sse(u, t, d)
-        if b - a < 1e-12 * w_base:
-            break
-    w = 0.5 * (a + b)
+    def slope(w):
+        return _sse_slope(u, tc, w)
 
-    A = _design(u, w)
-    coef, *_ = np.linalg.lstsq(A, t)
-    resid = t - A @ coef
+    w = float(grid[best])
+    g = slope(w)
+    if g > 0.0 and best > 0:
+        a = float(grid[best - 1])
+        ga = slope(a)
+        if ga < 0.0:
+            w = _illinois_root(slope, a, w, ga, g, W_TOL * w_base)
+    elif g < 0.0 and best < grid.size - 1:
+        b = float(grid[best + 1])
+        gb = slope(b)
+        if gb > 0.0:
+            w = _illinois_root(slope, w, b, g, gb, W_TOL * w_base)
+
+    _, coef, resid = _fit_at(u, tc, w)
     rmse = math.sqrt(float(resid @ resid) / t.size)
     return FourierSignature(
-        a0=float(coef[0]),
+        a0=t_mean + float(coef[0]),
         a=tuple(float(c) for c in coef[1::2]),
         b=tuple(float(c) for c in coef[2::2]),
-        w=float(w),
+        w=w,
         fit_rmse_rel=rmse / t_range,
     )
 

@@ -1,10 +1,12 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written by a different route than the code
-under test: containment via summed winding angles, areas via triangle fans,
-the 1-D slab temperature profile in closed form, stiffness matrices summed
-block by block through COO matrices, the whole block as an explicit mirror
-image of the solved half mesh.
+under test: containment via summed winding angles or a per-point crossing
+test with a boundary tolerance, areas via triangle fans, polygon-rectangle
+overlaps by Sutherland-Hodgman clipping, the Fourier fit by an SVD least
+squares per w and golden-section search, the 1-D slab temperature profile in
+closed form, stiffness matrices summed block by block through COO matrices,
+the whole block as an explicit mirror image of the solved half mesh.
 """
 
 import math
@@ -32,6 +34,128 @@ def fan_area(vertices) -> float:
         b = v[(i + 1) % len(v)] - c
         total += 0.5 * (a[0] * b[1] - a[1] * b[0])
     return abs(total)
+
+
+# Points within this distance (mm) of an edge count as on the boundary.
+BOUNDARY_TOL = 1e-12
+
+
+def point_in_polygon(p, poly) -> bool:
+    """Even-odd containment test; boundary points count as inside.
+
+    A point within BOUNDARY_TOL of an edge is classified as boundary. For
+    strictly interior/exterior points this is the standard crossing-number
+    rule with half-open edges.
+    """
+    px, py = float(p[0]), float(p[1])
+    v = poly.vertices
+    x1, y1 = v[:, 0], v[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+
+    # Boundary check: distance from p to each edge segment.
+    ex, ey = x2 - x1, y2 - y1
+    seg2 = ex * ex + ey * ey
+    t = np.clip(((px - x1) * ex + (py - y1) * ey) / seg2, 0.0, 1.0)
+    dx, dy = px - (x1 + t * ex), py - (y1 + t * ey)
+    if np.min(dx * dx + dy * dy) <= BOUNDARY_TOL**2:
+        return True
+
+    crossing = (y1 > py) != (y2 > py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_hit = x1 + (py - y1) * ex / ey
+    inside = np.count_nonzero(crossing & (px < x_hit)) % 2 == 1
+    return bool(inside)
+
+
+def clip_polygon_to_rect(vertices, x0, x1, y0, y1) -> np.ndarray:
+    """Sutherland-Hodgman clip of a polygon against an axis-aligned rectangle.
+
+    Returns the clipped vertex array (possibly empty). The subject polygon may
+    be non-convex; the output is suitable for area computation.
+    """
+    poly = [(float(x), float(y)) for x, y in vertices]
+
+    def clip_half(pts, inside, intersect):
+        out = []
+        if not pts:
+            return out
+        prev = pts[-1]
+        prev_in = inside(prev)
+        for cur in pts:
+            cur_in = inside(cur)
+            if cur_in:
+                if not prev_in:
+                    out.append(intersect(prev, cur))
+                out.append(cur)
+            elif prev_in:
+                out.append(intersect(prev, cur))
+            prev, prev_in = cur, cur_in
+        return out
+
+    def x_cut(level):
+        def intersect(a, b):
+            t = (level - a[0]) / (b[0] - a[0])
+            return (level, a[1] + t * (b[1] - a[1]))
+
+        return intersect
+
+    def y_cut(level):
+        def intersect(a, b):
+            t = (level - a[1]) / (b[1] - a[1])
+            return (a[0] + t * (b[0] - a[0]), level)
+
+        return intersect
+
+    poly = clip_half(poly, lambda p: p[0] >= x0, x_cut(x0))
+    poly = clip_half(poly, lambda p: p[0] <= x1, x_cut(x1))
+    poly = clip_half(poly, lambda p: p[1] >= y0, y_cut(y0))
+    poly = clip_half(poly, lambda p: p[1] <= y1, y_cut(y1))
+    if len(poly) < 3:
+        return np.empty((0, 2))
+    return np.array(poly)
+
+
+def clipped_area(poly, x0, x1, y0, y1) -> float:
+    """Area of polygon ∩ rectangle (mm²), by clipping and a triangle fan."""
+    clipped = clip_polygon_to_rect(poly.vertices, x0, x1, y0, y1)
+    if clipped.shape[0] < 3:
+        return 0.0
+    return fan_area(clipped)
+
+
+def column_fractions(poly, xs, ys) -> np.ndarray:
+    """clipped_area of every grid cell over the cell's area, (nx, ny). Cells
+    off the polygon's vertex range are skipped; their clip is empty."""
+    v = poly.vertices
+    out = np.zeros((len(xs) - 1, len(ys) - 1))
+    for i in range(len(xs) - 1):
+        if xs[i + 1] < v[:, 0].min() or xs[i] > v[:, 0].max():
+            continue
+        for j in range(len(ys) - 1):
+            if ys[j + 1] < v[:, 1].min() or ys[j] > v[:, 1].max():
+                continue
+            cell = (xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j])
+            out[i, j] = clipped_area(poly, xs[i], xs[i + 1], ys[j], ys[j + 1]) / cell
+    return out
+
+
+def prism_labels(mesh, geom):
+    """Per-tet material and tumor fraction of a structured mesh, tet by tet:
+    each centroid through the crossing test, each hex's fraction from
+    clipping its column and overlapping its z-interval."""
+    from tactherm.geometry import points_in_polygon
+
+    centroids = mesh.nodes[mesh.tets].mean(axis=1)
+    material = np.zeros(mesh.n_tets, dtype=np.uint8)
+    in_z = np.flatnonzero((centroids[:, 2] >= geom.z_lo) & (centroids[:, 2] <= geom.z_hi))
+    rel = centroids[in_z, :2] - np.array(geom.center)
+    material[in_z[points_in_polygon(rel, geom.base_polygon)]] = 1
+
+    xs, ys, zs = (np.unique(mesh.nodes[:, k]) for k in range(3))
+    col = column_fractions(geom.base_polygon, xs - geom.center[0], ys - geom.center[1])
+    z_over = np.clip(np.minimum(zs[1:], geom.z_hi) - np.maximum(zs[:-1], geom.z_lo), 0.0, None)
+    cell = col[:, :, None] * (z_over / np.diff(zs))[None, None, :]
+    return material, np.repeat(cell.ravel(), 6)
 
 
 def slab_temperature(z, *, length, k, h, q, t_bottom, t_ambient):
@@ -62,6 +186,75 @@ def fourier4_eval(u, coeffs):
         out += coeffs[f"a{i}"] * np.cos(i * w * u)
         out += coeffs[f"b{i}"] * np.sin(i * w * u)
     return out
+
+
+def _fourier4_design(u, w):
+    cols = [np.ones_like(u)]
+    for i in range(1, 5):
+        cols.append(np.cos(i * w * u))
+        cols.append(np.sin(i * w * u))
+    return np.column_stack(cols)
+
+
+def _projected_sse(u, t, w) -> float:
+    A = _fourier4_design(u, w)
+    _, res, rank, _ = np.linalg.lstsq(A, t)
+    if rank < A.shape[1] or res.size == 0:
+        r = t - A @ np.linalg.lstsq(A, t)[0]
+        return float(r @ r)
+    return float(res[0])
+
+
+def fit_fourier4_golden(profile):
+    """The Fourier fit by a per-w SVD least squares: w is scanned on 241
+    points over [0.5, 1.5] * 2*pi/span, and the best point's two grid cells
+    are searched by golden section on the SSE itself. Golden section cannot
+    place the minimum of a flat SSE closer than about sqrt(eps), so w is set
+    only to about 1e-8 relative."""
+    from tactherm.signature import FourierSignature
+
+    t = profile.temps
+    t_range = float(t.max() - t.min())
+    mid = 0.5 * (profile.positions[0] + profile.positions[-1])
+    u = profile.positions - mid
+
+    w_base = 2.0 * math.pi / profile.span
+    grid = np.linspace(0.5 * w_base, 1.5 * w_base, 241)
+    sse = np.array([_projected_sse(u, t, w) for w in grid])
+    tc = t - t.mean()
+    tol = sse.min() + 1e-12 * float(tc @ tc)
+    best = int(np.flatnonzero(sse <= tol)[-1])
+    a = grid[max(best - 1, 0)]
+    b = grid[min(best + 1, grid.size - 1)]
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = _projected_sse(u, t, c), _projected_sse(u, t, d)
+    for _ in range(80):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = _projected_sse(u, t, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = _projected_sse(u, t, d)
+        if b - a < 1e-12 * w_base:
+            break
+    w = 0.5 * (a + b)
+
+    A = _fourier4_design(u, w)
+    coef, *_ = np.linalg.lstsq(A, t)
+    resid = t - A @ coef
+    rmse = math.sqrt(float(resid @ resid) / t.size)
+    return FourierSignature(
+        a0=float(coef[0]),
+        a=tuple(float(c) for c in coef[1::2]),
+        b=tuple(float(c) for c in coef[2::2]),
+        w=float(w),
+        fit_rmse_rel=rmse / t_range,
+    )
 
 
 def quartiles_linear(values):

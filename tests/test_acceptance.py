@@ -31,7 +31,6 @@ from tactherm.geometry import (
     TissueDims,
     TumorShape,
     place_prism,
-    point_in_polygon,
     regular_polygon,
     star_polygon,
 )
@@ -52,6 +51,7 @@ from tactherm.pipeline import (
 from tactherm.signature import FourierSignature, SurfaceProfile, fit_fourier4
 
 import oracles
+from oracles import point_in_polygon
 
 POLY = ShapeFamily.REGULAR_POLYGON
 STAR = ShapeFamily.STAR_POLYGON

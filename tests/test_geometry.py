@@ -12,10 +12,8 @@ from tactherm.geometry import (
     ShapeFamily,
     TissueDims,
     TumorShape,
-    clip_polygon_to_rect,
-    clipped_area,
+    grid_cell_areas,
     place_prism,
-    point_in_polygon,
     points_in_polygon,
     regular_polygon,
     shoelace_area,
@@ -24,6 +22,7 @@ from tactherm.geometry import (
 )
 
 import oracles
+from oracles import clip_polygon_to_rect, point_in_polygon
 
 
 def test_regular_polygon_square_is_exact():
@@ -159,11 +158,39 @@ def test_clipped_areas_partition_exactly(n, star, nx, ny):
     poly = star_polygon(n, 10.0, 400.0) if star else regular_polygon(n, 400.0)
     xs = np.linspace(-25.0, 25.0, nx + 1)
     ys = np.linspace(-25.0, 25.0, ny + 1)
-    total = 0.0
-    for i in range(nx):
-        for j in range(ny):
-            total += clipped_area(poly, xs[i], xs[i + 1], ys[j], ys[j + 1])
-    assert total == pytest.approx(poly.area, rel=1e-11)
+    areas = grid_cell_areas(poly, xs, ys)
+    assert areas.shape == (nx, ny)
+    assert areas.sum() == pytest.approx(poly.area, rel=1e-11)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=40),
+    star=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_cell_areas_match_clipping_oracle(n, star, seed):
+    """Each cell's area matches Sutherland-Hodgman clipping on an uneven grid
+    whose lines cut the polygon anywhere, vertices included."""
+    poly = star_polygon(n, 10.0, 400.0) if star else regular_polygon(n, 400.0)
+    rng = np.random.default_rng(seed)
+    xs = np.sort(np.concatenate([[-30.0, 30.0], rng.uniform(-20, 20, 6), poly.vertices[:2, 0]]))
+    ys = np.sort(np.concatenate([[-30.0, 30.0], rng.uniform(-20, 20, 5), poly.vertices[:2, 1]]))
+    got = grid_cell_areas(poly, xs, ys)
+    cell = np.outer(np.diff(xs), np.diff(ys))
+    assert np.all((got >= 0.0) & (got <= cell))
+    want = oracles.column_fractions(poly, xs, ys) * cell
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * poly.area)
+
+
+def test_cells_off_the_bounding_box_are_exactly_empty():
+    poly = star_polygon(9, 10.0, 400.0)
+    xmin, ymin, xmax, ymax = poly.bounding_box()
+    xs = np.array([xmin - 3.0, xmin, 0.0, xmax, xmax + 1.0])
+    ys = np.array([ymin - 1.0, ymin, 0.0, ymax, ymax + 2.0])
+    got = grid_cell_areas(poly, xs, ys)
+    assert np.all(got[[0, -1], :] == 0.0) and np.all(got[:, [0, -1]] == 0.0)
+    assert got[1:-1, 1:-1].sum() == pytest.approx(400.0, rel=1e-12)
 
 
 def test_polygon_csv_roundtrip(tmp_path):

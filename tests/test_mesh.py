@@ -3,8 +3,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import oracles
+
 from tactherm.errors import ParameterError
 from tactherm.geometry import ShapeFamily, TissueDims, TumorShape, place_prism
+from tactherm.pipeline import StudyConfig, refinement_spec, tumor_shape
 from tactherm.mesh import (
     FaceTag,
     Material,
@@ -108,6 +111,23 @@ def test_tumor_fraction_exact_for_star():
     assert frac_vol == pytest.approx(3200.0 / 2.0, rel=1e-12)  # the solved half
     assert mesh.tumor_frac.min() >= 0.0
     assert mesh.tumor_frac.max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("family", list(ShapeFamily))
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_labels_match_tet_by_tet_oracle(family, level):
+    """Production meshes: material equals the per-tet centroid crossing test
+    bit for bit, and tumor_frac is within 1e-12 of Sutherland-Hodgman
+    clipping and inside [0, 1]."""
+    cfg = StudyConfig()
+    for n in (3, 8, 33, 99, 100):
+        geom = place_prism(tumor_shape(cfg, family, n), cfg.tissue)
+        mesh = build_mesh(geom, refinement_spec(cfg, family, level))
+        material, frac = oracles.prism_labels(mesh, geom)
+        assert mesh.material.dtype == np.uint8
+        np.testing.assert_array_equal(mesh.material, material)
+        np.testing.assert_allclose(mesh.tumor_frac, frac, rtol=0, atol=1e-12)
+        assert mesh.tumor_frac.min() >= 0.0 and mesh.tumor_frac.max() <= 1.0
 
 
 def test_binary_labeling_error_shrinks_with_refinement():

@@ -153,3 +153,73 @@ def test_extract_profile_samples_spacing():
     whole, _ = oracles.mirror_mesh(mesh)
     with pytest.raises(ParameterError, match="SYMMETRY"):
         extract_profile(ScalarField(whole, np.zeros(whole.n_nodes)))
+
+
+@pytest.fixture(scope="module")
+def level0_profiles():
+    """Centerline profiles of production level-0 models of both families."""
+    from tactherm.pipeline import StudyConfig, run_model
+
+    cfg = StudyConfig()
+    out = []
+    for family, n in [
+        (ShapeFamily.REGULAR_POLYGON, 3),
+        (ShapeFamily.REGULAR_POLYGON, 10),
+        (ShapeFamily.REGULAR_POLYGON, 100),
+        (ShapeFamily.STAR_POLYGON, 3),
+        (ShapeFamily.STAR_POLYGON, 50),
+        (ShapeFamily.STAR_POLYGON, 99),
+    ]:
+        r = run_model(cfg, family, n)
+        out.append(SurfaceProfile(positions=r.profile_x_m, temps=r.profile_t_c))
+    return out
+
+
+def test_fit_agrees_with_golden_section_oracle(level0_profiles):
+    """The root-refined fit matches the SVD + golden-section fit to within
+    the latter's own roundoff spread (it sets w to about 1e-8 only)."""
+    for profile in level0_profiles:
+        got = fit_fourier4(profile).features()
+        want = oracles.fit_fourier4_golden(profile).features()
+        np.testing.assert_allclose(got[:9], want[:9], rtol=0, atol=2e-8)
+        assert abs(got[9] - want[9]) <= 3e-8 * want[9]
+
+
+def test_fit_is_stable_under_roundoff_perturbation(level0_profiles):
+    """A 1e-15 relative change of the temperatures moves w by < 1e-11."""
+    rng = np.random.default_rng(11)
+    for profile in level0_profiles:
+        w = fit_fourier4(profile).w
+        for _ in range(3):
+            t = profile.temps * (1.0 + 1e-15 * rng.standard_normal(profile.temps.size))
+            moved = fit_fourier4(SurfaceProfile(positions=profile.positions, temps=t)).w
+            assert abs(moved - w) < 1e-11 * w
+
+
+def test_slope_evaluations_are_bounded(level0_profiles, monkeypatch):
+    """The w refine evaluates dSSE/dw at most 40 times per fit."""
+    import tactherm.signature as signature
+
+    calls = []
+    slope = signature._sse_slope
+
+    def counted(*args):
+        calls[-1] += 1
+        return slope(*args)
+
+    monkeypatch.setattr(signature, "_sse_slope", counted)
+    profiles = [*level0_profiles, synth_profile(REFERENCE)]
+    for profile in profiles:
+        calls.append(0)
+        fit_fourier4(profile)
+    assert 0 < min(calls) and max(calls) <= 40
+
+
+def test_root_refine_moves_both_ends_of_the_bracket():
+    """On x^10 - 1 over [0, 1.3] plain regula falsi keeps the right end and
+    creeps in from the left; the Illinois rule still closes the bracket on
+    the root within the step budget."""
+    from tactherm.signature import _illinois_root
+
+    root = _illinois_root(lambda x: x**10 - 1.0, 0.0, 1.3, -1.0, 1.3**10 - 1.0, 1e-14)
+    assert root == pytest.approx(1.0, abs=1e-13)
