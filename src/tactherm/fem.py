@@ -342,9 +342,10 @@ def _solve_banded_cholesky(plan: _ScatterPlan, vals: np.ndarray, rhs) -> np.ndar
     return x
 
 
-def _solve_spd(plan: _ScatterPlan, vals, rhs, *, method: str, tol: float, max_iter=None):
+def _solve_spd(plan: _ScatterPlan, vals, rhs, *, method: str, tol: float = 1e-10, max_iter=None):
     """Solve the plan's SPD reduced system K_ff x = rhs; returns
-    (x, iterations, rel_residual), the residual taken from the assembled K_ff."""
+    (x, iterations, rel_residual), the residual taken from the assembled K_ff.
+    tol and max_iter apply to PCG only."""
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return np.zeros_like(rhs), 0, 0.0
@@ -448,20 +449,14 @@ def energy_balance(field: ScalarField, params: ThermalParams) -> EnergyBalance:
     return EnergyBalance(copies * generated, copies * out_top, copies * out_bottom)
 
 
-def solve_elastic(
-    mesh: TetMesh,
-    params: ElasticParams,
-    *,
-    method: str = "direct",
-    tol: float = 1e-10,
-) -> tuple[VectorField, SolveStats]:
+def solve_elastic(mesh: TetMesh, params: ElasticParams) -> tuple[VectorField, SolveStats]:
     """Displacement under imposed vertical compression of the top face.
 
     Bottom face fully fixed; top face u_z = -applied_strain * z_len with
     horizontal components free; sides traction-free; u_x = 0 on the
     SYMMETRY plane, which keeps its nodes on x = c. Tumor elements are
-    stiffened by tumor_stiffness_factor. The default solver is direct, a
-    banded Cholesky factorization after reverse Cuthill-McKee reordering:
+    stiffened by tumor_stiffness_factor. The solve is direct, a banded
+    Cholesky factorization after reverse Cuthill-McKee reordering:
     near-incompressible Poisson ratios condition the system badly for
     diagonal-preconditioned CG. Raises SingularSystemError when the reduced
     stiffness is not positive definite.
@@ -472,7 +467,7 @@ def solve_elastic(
     u = np.zeros(3 * mesh.n_nodes)  # Dirichlet part only
     u[3 * mesh.boundary_nodes(FaceTag.TOP) + 2] = -params.applied_strain * z_len
     rhs = -plan.matvec(vals, u)[plan.free]
-    x, iters, res = _solve_spd(plan, vals, rhs, method=method, tol=tol)
+    x, iters, res = _solve_spd(plan, vals, rhs, method="direct")
 
     u[plan.free] = x
     stats = SolveStats(iters, res, time.perf_counter() - t0, plan.perm.size, plan.band)

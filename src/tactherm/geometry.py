@@ -219,25 +219,6 @@ def place_prism(shape: TumorShape, dims: TissueDims) -> GeometrySpec:
     )
 
 
-def points_in_polygon(points: np.ndarray, poly: Polygon2D) -> np.ndarray:
-    """Vectorized crossing-number test for an (N, 2) point array.
-
-    No boundary tolerance: ties follow the half-open edge rule. Intended for
-    bulk centroid classification where boundary hits have measure zero.
-    """
-    pts = np.asarray(points, dtype=float)
-    v = poly.vertices
-    x1, y1 = v[:, 0], v[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    px = pts[:, 0][:, None]
-    py = pts[:, 1][:, None]
-    crossing = (y1[None, :] > py) != (y2[None, :] > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_hit = x1[None, :] + (py - y1[None, :]) * (x2 - x1)[None, :] / (y2 - y1)[None, :]
-    hits = crossing & (px < x_hit)
-    return (np.count_nonzero(hits, axis=1) % 2).astype(bool)
-
-
 def grid_cell_areas(poly: Polygon2D, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Area of poly ∩ [xs[i], xs[i+1]] x [ys[j], ys[j+1]] for every cell of a
     rectilinear grid, as an (len(xs) - 1, len(ys) - 1) array (mm²).

@@ -8,10 +8,10 @@ whole-block mesh is symmetric by construction.
 
 A graded tensor-product hex grid (finer inside a box around the inclusion) is
 split into 6 tets per hex with a fixed diagonal pattern, so meshes are fully
-deterministic. The inclusion is immersed: elements are labeled tumor/tissue by
-a centroid test, and each element additionally carries the exact volume
-fraction it shares with the prism (the polygon's area in its grid column
-times the interval overlap in z), which sums to the exact volume of the prism's half.
+deterministic. The inclusion is immersed: each element carries the exact
+volume fraction it shares with the prism (the polygon's area in its grid
+column times the interval overlap in z), which sums to the exact volume of the
+prism's half. That fraction is the only way the mesh describes the tumor.
 """
 
 from __future__ import annotations
@@ -22,13 +22,8 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import GeometrySpec, grid_cell_areas, points_in_polygon
+from .geometry import GeometrySpec, grid_cell_areas
 from .textio import atomic_write_text, fmt
-
-
-class Material(IntEnum):
-    TISSUE = 0
-    TUMOR = 1
 
 
 class FaceTag(IntEnum):
@@ -85,17 +80,15 @@ class RefinementSpec:
 
 @dataclass(frozen=True)
 class TetMesh:
-    """Tetrahedral mesh with immersed material labels.
+    """Tetrahedral mesh with an immersed prism.
 
-    nodes in mm. material is the binary centroid classification; tumor_frac
-    holds the exact per-element volume fraction occupied by the prism (every
-    tet of a hex carries its hex's fraction; tet volumes within a hex are
-    equal, so fraction-weighted volume is exact).
+    nodes in mm. tumor_frac holds the exact per-element volume fraction
+    occupied by the prism (every tet of a hex carries its hex's fraction; tet
+    volumes within a hex are equal, so fraction-weighted volume is exact).
     """
 
     nodes: np.ndarray  # (N, 3) float
     tets: np.ndarray  # (M, 4) int
-    material: np.ndarray  # (M,) uint8
     faces: np.ndarray  # (F, 3) int
     face_tags: np.ndarray  # (F,) uint8
     tumor_frac: np.ndarray  # (M,) float
@@ -172,15 +165,11 @@ def half_axis(edges: np.ndarray, c: float) -> np.ndarray:
 
 
 def build_mesh(geom: GeometrySpec, ref: RefinementSpec) -> TetMesh:
-    """Mesh the x <= c half of the block and label the immersed prism.
+    """Mesh the x <= c half of the block with the prism immersed in it.
 
     c is the prism's center x, the block's mid x. The x axis is the graded
     axis of the whole block cut at c (see half_axis); the faces on x = c
-    are tagged SYMMETRY.
-
-    Material: tumor iff the tet centroid lies in the prism z-range and inside
-    the base polygon (boundary counting as inside is delegated to the bulk
-    containment rule). tumor_frac: exact hex ∩ prism volume fraction.
+    are tagged SYMMETRY. tumor_frac: exact hex ∩ prism volume fraction.
     """
     dims = geom.dims
     window = ref.refine_box if ref.refine_box is not None else geom.refine_window()
@@ -218,20 +207,6 @@ def build_mesh(geom: GeometrySpec, ref: RefinementSpec) -> TetMesh:
     # cell-major: the 6 tets of a hex are consecutive
     tets = corners[:, HEX_TO_TETS].reshape(-1, 4).astype(np.int32)
 
-    # binary centroid labels: a tet's centroid xy depends only on its column
-    # and its place in the hex, and its z only on its layer and that place,
-    # so one layer of xy and one column of z are tested and broadcast
-    per_cell = tets.reshape(ncx, ncy, ncz, 6, 4)
-    xy = nodes[per_cell[:, :, 0], :2].mean(axis=-2)  # (ncx, ncy, 6, 2)
-    z = nodes[per_cell[0, 0], 2].mean(axis=-1)  # (ncz, 6)
-    in_z = (z >= geom.z_lo) & (z <= geom.z_hi)
-    material = np.zeros((ncx, ncy, ncz, 6), dtype=np.uint8)
-    if np.any(in_z):
-        rel = xy.reshape(-1, 2) - np.array(geom.center)
-        inside = points_in_polygon(rel, geom.base_polygon).reshape(ncx, ncy, 1, 6)
-        material[inside & in_z] = Material.TUMOR
-    material = material.ravel()
-
     # exact per-hex fractions: in-plane clipped area times z-interval overlap
     xr, yr = xs - geom.center[0], ys - geom.center[1]
     col_frac = grid_cell_areas(geom.base_polygon, xr, yr) / np.outer(np.diff(xr), np.diff(yr))
@@ -245,7 +220,6 @@ def build_mesh(geom: GeometrySpec, ref: RefinementSpec) -> TetMesh:
     return TetMesh(
         nodes=nodes,
         tets=tets,
-        material=material,
         faces=faces,
         face_tags=tags,
         tumor_frac=tumor_frac,
@@ -325,13 +299,13 @@ def mesh_quality(mesh: TetMesh) -> QualityReport:
 
 
 def write_mesh_text(mesh: TetMesh, path) -> None:
-    """Plain-text dump: node, tet (with material), and tagged face tables."""
+    """Plain-text dump: node, tet (with tumor_frac), and tagged face tables."""
     out = [f"nodes {mesh.n_nodes}"]
     for idx, (x, y, z) in enumerate(mesh.nodes):
         out.append(f"{idx} {fmt(x)} {fmt(y)} {fmt(z)}")
     out.append(f"tets {mesh.n_tets}")
-    for idx, (t, m) in enumerate(zip(mesh.tets, mesh.material)):
-        out.append(f"{idx} {t[0]} {t[1]} {t[2]} {t[3]} {Material(m).name}")
+    for idx, (t, frac) in enumerate(zip(mesh.tets, mesh.tumor_frac)):
+        out.append(f"{idx} {t[0]} {t[1]} {t[2]} {t[3]} {fmt(frac)}")
     out.append(f"faces {mesh.faces.shape[0]}")
     for f, tag in zip(mesh.faces, mesh.face_tags):
         out.append(f"{f[0]} {f[1]} {f[2]} {FaceTag(tag).name}")

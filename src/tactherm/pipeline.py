@@ -175,13 +175,9 @@ class LearnSpec:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    thermal_method: str = "direct"
-    tol: float = 1.0e-10
     profile_samples: int = 121
 
     def __post_init__(self):
-        if self.thermal_method not in ("direct", "pcg"):
-            raise ParameterError("thermal_method must be 'direct' or 'pcg'")
         if self.profile_samples < 41:
             raise ParameterError("profile_samples must be >= 41")
 
@@ -358,9 +354,7 @@ def run_model(
     u, elastic_stats = solve_elastic(mesh, cfg.elastic)
     moved = deform_mesh(mesh, u)
     t_elastic = time.perf_counter()
-    field, heat_stats = solve_heat(
-        moved, thermal, method=cfg.solver.thermal_method, tol=cfg.solver.tol
-    )
+    field, heat_stats = solve_heat(moved, thermal, method="direct")
     t_heat = time.perf_counter()
     profile = extract_profile(
         field,
@@ -672,26 +666,19 @@ class MeshStudyReport:
         return bool(self.rel_diffs and self.rel_diffs[0] < 0.01)
 
 
-def mesh_study(
-    cfg: StudyConfig, family: ShapeFamily, n: int = 10, levels=None
-) -> MeshStudyReport:
+def mesh_study(cfg: StudyConfig, family: ShapeFamily, n: int = 10) -> MeshStudyReport:
     """Solve one model across the refinement ladder and compare profiles.
 
     The difference metric is the max pointwise relative temperature gap
     between consecutive levels on the common centerline sampling, with the
     finer level as the reference.
     """
-    ladder = cfg.refinement.ladder(family) if levels is None else tuple(levels)
+    ladder = cfg.refinement.ladder(family)
     if len(ladder) < 2:
         raise ParameterError("mesh study needs at least two refinement levels")
-    study_cfg = cfg
-    if levels is not None:
-        study_cfg = dataclasses.replace(
-            cfg, refinement=dataclasses.replace(cfg.refinement, polygon=ladder, star=ladder)
-        )
     temps, elements, nodes, tmaxes, walls = [], [], [], [], []
     for idx in range(len(ladder)):
-        result = run_model(study_cfg, family, n, level=idx)
+        result = run_model(cfg, family, n, level=idx)
         temps.append(result.profile_t_c)
         elements.append(result.elements)
         nodes.append(result.nodes)

@@ -140,22 +140,14 @@ def column_fractions(poly, xs, ys) -> np.ndarray:
 
 
 def prism_labels(mesh, geom):
-    """Per-tet material and tumor fraction of a structured mesh, tet by tet:
-    each centroid through the crossing test, each hex's fraction from
-    clipping its column and overlapping its z-interval."""
-    from tactherm.geometry import points_in_polygon
-
-    centroids = mesh.nodes[mesh.tets].mean(axis=1)
-    material = np.zeros(mesh.n_tets, dtype=np.uint8)
-    in_z = np.flatnonzero((centroids[:, 2] >= geom.z_lo) & (centroids[:, 2] <= geom.z_hi))
-    rel = centroids[in_z, :2] - np.array(geom.center)
-    material[in_z[points_in_polygon(rel, geom.base_polygon)]] = 1
-
+    """Per-tet tumor fraction of a structured mesh: each hex's fraction from
+    clipping its column and overlapping its z-interval, repeated for its
+    six tets."""
     xs, ys, zs = (np.unique(mesh.nodes[:, k]) for k in range(3))
     col = column_fractions(geom.base_polygon, xs - geom.center[0], ys - geom.center[1])
     z_over = np.clip(np.minimum(zs[1:], geom.z_hi) - np.maximum(zs[:-1], geom.z_lo), 0.0, None)
     cell = col[:, :, None] * (z_over / np.diff(zs))[None, None, :]
-    return material, np.repeat(cell.ravel(), 6)
+    return np.repeat(cell.ravel(), 6)
 
 
 def slab_temperature(z, *, length, k, h, q, t_bottom, t_ambient):
@@ -361,7 +353,6 @@ def mirror_mesh(half):
     whole = TetMesh(
         nodes=np.vstack([half.nodes, reflected]),
         tets=np.vstack([half.tets, image[half.tets][:, [1, 0, 2, 3]]]),
-        material=np.concatenate([half.material, half.material]),
         faces=np.vstack([faces, image[faces][:, [1, 0, 2]]]),
         face_tags=np.concatenate([tags, tags]),
         tumor_frac=np.concatenate([half.tumor_frac, half.tumor_frac]),

@@ -106,11 +106,7 @@ def _slab_error(level):
     p = ThermalParams()
     geom = place_prism(TumorShape(POLY, n=10), dims)
     mesh = build_mesh(geom, RefinementSpec(*level))
-    mesh = dataclasses.replace(
-        mesh,
-        material=np.ones(mesh.n_tets, dtype=np.uint8),
-        tumor_frac=np.ones(mesh.n_tets),
-    )
+    mesh = dataclasses.replace(mesh, tumor_frac=np.ones(mesh.n_tets))
     field, _ = solve_heat(mesh, p)
     kw = dict(
         length=dims.z_len * 1e-3,
@@ -144,12 +140,7 @@ def test_energy_balance_closes_for_default_decagon():
     geom = place_prism(tumor_shape(cfg, POLY, 10), cfg.tissue)
     mesh = build_mesh(geom, refinement_spec(cfg, POLY))
     u, _ = solve_elastic(mesh, cfg.elastic)
-    field, _ = solve_heat(
-        deform_mesh(mesh, u),
-        cfg.thermal,
-        method=cfg.solver.thermal_method,
-        tol=cfg.solver.tol,
-    )
+    field, _ = solve_heat(deform_mesh(mesh, u), cfg.thermal, method="direct")
     bal = energy_balance(field, cfg.thermal)
     assert bal.generated_w > 0.0
     assert abs(bal.residual_rel) < 0.005, (

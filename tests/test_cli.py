@@ -8,12 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tactherm
 import tactherm.cli as cli
 import tactherm.pipeline as pipeline
 from tactherm.errors import SolverError
+from tactherm.geometry import ShapeFamily, place_prism
+from tactherm.mesh import build_mesh
 from tactherm.pipeline import (
     LearnSpec,
     MeshLevels,
@@ -76,6 +79,15 @@ def test_geometry_and_mesh_commands(tiny_cfg_path, tmp_path, capsys):
     lines = text.read_text().splitlines()
     assert f"tets {half_tets}" in lines
     assert any(line.endswith(" SYMMETRY") for line in lines)
+    # each tet line ends with the exact tumor fraction the solvers read
+    cfg = pipeline.load_config(tiny_cfg_path)
+    family = ShapeFamily.REGULAR_POLYGON
+    geom = place_prism(pipeline.tumor_shape(cfg, family, 4), cfg.tissue)
+    want = build_mesh(geom, pipeline.refinement_spec(cfg, family)).tumor_frac
+    first = lines.index(f"tets {half_tets}") + 1
+    got = np.array([float(line.split()[-1]) for line in lines[first:first + half_tets]])
+    np.testing.assert_array_equal(got, want)
+    assert np.any((got > 0.0) & (got < 1.0))
 
 
 def test_solve_command_reports_signature(tiny_cfg_path, capsys):

@@ -38,11 +38,7 @@ def decagon_mesh(factor=2, nx=12, ny=6, nz=5):
 
 def all_tumor(mesh):
     """Relabel every element as tumor: turns the block into a uniform source."""
-    return replace(
-        mesh,
-        material=np.ones(mesh.n_tets, dtype=np.uint8),
-        tumor_frac=np.ones(mesh.n_tets),
-    )
+    return replace(mesh, tumor_frac=np.ones(mesh.n_tets))
 
 
 def slab_params():

@@ -3,6 +3,7 @@ mesh study, ambient calibration, learning persistence, and figures."""
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,13 @@ def test_default_config_round_trip(tmp_path):
     save_config(cfg, path)
     assert load_config(path) == cfg
     assert config_from_json(config_to_json(cfg)) == cfg
+
+
+def test_shipped_default_config_is_the_serialized_defaults():
+    """configs/default.json, which the study benchmark loads, is
+    config_to_json(StudyConfig()) byte for byte."""
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+    assert shipped.read_bytes() == config_to_json(StudyConfig()).encode()
 
 
 def test_config_hash_tracks_content():
@@ -256,15 +264,23 @@ def test_mesh_study_reports_level_agreement(tmp_path):
 
 def test_mesh_study_identical_levels_agree_exactly(tmp_path):
     cfg = tiny_config(tmp_path / "out")
-    report = mesh_study(cfg, POLY, n=4, levels=((5, 3, 2, 2), (5, 3, 2, 2)))
+    ladder = ((5, 3, 2, 2), (5, 3, 2, 2))
+    cfg = dataclasses.replace(
+        cfg, refinement=dataclasses.replace(cfg.refinement, polygon=ladder, star=ladder)
+    )
+    report = mesh_study(cfg, POLY, n=4)
     assert report.rel_diffs == (0.0,)
     assert report.passes
 
 
 def test_mesh_study_needs_two_levels(tmp_path):
     cfg = tiny_config(tmp_path / "out")
+    ladder = ((5, 3, 2, 2),)
+    cfg = dataclasses.replace(
+        cfg, refinement=dataclasses.replace(cfg.refinement, polygon=ladder, star=ladder)
+    )
     with pytest.raises(ParameterError):
-        mesh_study(cfg, POLY, n=4, levels=((5, 3, 2, 2),))
+        mesh_study(cfg, POLY, n=4)
 
 
 def test_calibrate_ambient_hits_target_exactly(tmp_path):
