@@ -181,7 +181,7 @@ def _cmd_solve(cfg, args) -> int:
 
 def _cmd_sweep(cfg, args) -> int:
     family = _family(args.family)
-    result = run_sweep(cfg, family, workers=args.workers)
+    (result,) = run_sweep(cfg, (family,), workers=args.workers)
     print(f"sweep {family.value}: {len(result.solved)} solved, "
           f"{len(result.skipped)} resumed, {len(result.failed)} failed "
           f"-> {result.csv_path}")
@@ -234,9 +234,9 @@ def _cmd_figures(cfg, _args) -> int:
 
 
 def _cmd_all(cfg, args) -> int:
+    families = (ShapeFamily.REGULAR_POLYGON, ShapeFamily.STAR_POLYGON)
     failures = []
-    for family in (ShapeFamily.REGULAR_POLYGON, ShapeFamily.STAR_POLYGON):
-        result = run_sweep(cfg, family, workers=args.workers)
+    for family, result in zip(families, run_sweep(cfg, families, workers=args.workers)):
         print(f"sweep {family.value}: {len(result.solved)} solved, "
               f"{len(result.skipped)} resumed, {len(result.failed)} failed")
         failures.extend(result.failed)

@@ -197,12 +197,28 @@ def evaluate(model: RbfModel, features: np.ndarray, targets: np.ndarray) -> Eval
     return eval_report(predict(model, features), np.asarray(targets, dtype=float))
 
 
-def rank_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """Spearman rank correlation."""
-    # imported here: scipy.stats would otherwise take most of every CLI start
-    from scipy.stats import spearmanr
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; tied values share the mean of their ranks."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.concatenate([[True], xs[1:] != xs[:-1]])  # starts of tie groups
+    bounds = np.append(np.flatnonzero(first), x.size)
+    group_rank = 0.5 * (bounds[:-1] + bounds[1:] + 1)
+    ranks = np.empty(x.size)
+    ranks[order] = group_rank[np.cumsum(first) - 1]
+    return ranks
 
-    return float(spearmanr(a, b).statistic)
+
+def rank_correlation(a: np.ndarray, b: np.ndarray) -> float:
+    """Spearman rank correlation: the Pearson correlation of the average
+    ranks; NaN when either input is constant."""
+    ra = _average_ranks(np.asarray(a, dtype=float).ravel())
+    rb = _average_ranks(np.asarray(b, dtype=float).ravel())
+    if ra.size != rb.size:
+        raise ParameterError("rank_correlation needs inputs of equal length")
+    if ra.size < 2 or np.ptp(ra) == 0.0 or np.ptp(rb) == 0.0:
+        return float("nan")
+    return float(np.corrcoef(ra, rb)[0, 1])
 
 
 @dataclass(frozen=True)

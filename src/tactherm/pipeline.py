@@ -7,9 +7,10 @@ deterministic formatting, and a manifest makes sweeps resumable: models
 already completed under the same config and BLAS thread setting are not
 solved again.
 
-Models are independent jobs (optionally run in a process pool); the manifest
-has a single writer and results are reduced in model-id order, so outputs are
-byte-identical regardless of worker count.
+Models are independent jobs. A pooled command starts one process pool for
+all the families it sweeps and submits every pending model up front; the
+manifest has a single writer and results are reduced in (family, n) order, so
+outputs are byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import logging
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -260,9 +262,12 @@ def save_config(cfg: StudyConfig, path) -> None:
 def config_hash(cfg: StudyConfig) -> str:
     """Canonical digest of the config and the BLAS thread setting; sweeps
     resume only when both are identical, because the banded Cholesky factor's
-    last bits depend on the BLAS thread count."""
+    last bits depend on the BLAS thread count. out_dir is left out: it changes
+    no result, so a copied output directory resumes."""
+    config = config_to_dict(cfg)
+    del config["out_dir"]
     doc = {
-        "config": config_to_dict(cfg),
+        "config": config,
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -533,14 +538,16 @@ def _write_model_artifacts(out_dir: Path, result: ModelResult, y_mid_mm: float) 
 
 
 def run_sweep(
-    cfg: StudyConfig, family: ShapeFamily, *, workers: int = 1
-) -> SweepResult:
-    """Solve every sweep model of one family and write its dataset CSV.
+    cfg: StudyConfig, families, *, workers: int = 1
+) -> tuple[SweepResult, ...]:
+    """Solve every sweep model of the given families and write one dataset
+    CSV per family; one SweepResult per family, in the order given.
 
     Completed models recorded in the manifest (same config hash) are skipped,
     unless their artifact files have been removed — those are re-solved so the
     disk always matches the manifest. Failures are recorded per model and the
-    sweep continues.
+    sweep continues. With workers > 1 and more than one pending model, one
+    pool of at most `workers` processes solves the models of all families.
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -549,12 +556,15 @@ def run_sweep(
 
     orders = cfg.sweep.values()
     pending = [
-        n for n in orders if not manifest.has_artifacts(model_id(family, n), out_dir)
+        (family, n)
+        for family in families
+        for n in orders
+        if not manifest.has_artifacts(model_id(family, n), out_dir)
     ]
-    skipped = tuple(model_id(family, n) for n in orders if n not in pending)
-    solved, failed = [], []
+    solved = {family: [] for family in families}
+    failed = {family: [] for family in families}
 
-    def finish(n: int, solve) -> None:
+    def finish(family: ShapeFamily, n: int, solve) -> None:
         """Run or collect one model's solve and record its outcome."""
         mid = model_id(family, n)
         try:
@@ -562,12 +572,12 @@ def run_sweep(
         except Exception as exc:  # recorded per model; sweep continues
             message = f"{type(exc).__name__}: {exc}"
             manifest.record_error(mid, family, n, message)
-            failed.append((mid, message))
+            failed[family].append((mid, message))
             log.warning("%s failed: %s", mid, message)
         else:
             artifacts = _write_model_artifacts(out_dir, result, cfg.tissue.y_len / 2.0)
             manifest.record_ok(result, artifacts)
-            solved.append(mid)
+            solved[family].append(mid)
             stages = ", ".join(f"{k} {v:.2f}" for k, v in result.stage_s.items())
             log.info(
                 "%s ok in %.2f s (%s); residuals elastic %.1e, heat %.1e",
@@ -576,17 +586,32 @@ def run_sweep(
         manifest.save()
 
     if workers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_solve_job, (cfg, family, n)) for n in pending]
-            for n, future in zip(pending, futures):
-                finish(n, future.result)
+        with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
+            futures = deque(pool.submit(_solve_job, (cfg, *job)) for job in pending)
+            for job in pending:
+                # popped so that each result is freed once it is reduced
+                finish(*job, futures.popleft().result)
     else:
-        for n in pending:
-            finish(n, partial(_solve_job, (cfg, family, n)))
+        for job in pending:
+            finish(*job, partial(_solve_job, (cfg, *job)))
 
+    results = []
+    for family in families:
+        skipped = tuple(model_id(family, n) for n in orders if (family, n) not in pending)
+        dataset, csv_path = _write_dataset(cfg, family, manifest)
+        results.append(
+            SweepResult(dataset, csv_path, tuple(solved[family]), skipped, tuple(failed[family]))
+        )
+    return tuple(results)
+
+
+def _write_dataset(
+    cfg: StudyConfig, family: ShapeFamily, manifest: RunManifest
+) -> tuple[Dataset, Path]:
+    """The family's dataset CSV, rebuilt from the manifest in n order."""
     rows = []
     feats, targets = [], []
-    for n in orders:
+    for n in cfg.sweep.values():
         entry = manifest.models.get(model_id(family, n))
         if not entry or entry.get("status") != "ok":
             continue
@@ -600,14 +625,14 @@ def run_sweep(
         feats.append(vec)
         targets.append(float(n))
 
-    csv_path = out_dir / f"dataset_{family.value}.csv"
+    csv_path = Path(cfg.out_dir) / f"dataset_{family.value}.csv"
     write_csv(csv_path, _dataset_header(), rows)
     dataset = Dataset(
         np.array(feats, dtype=float).reshape(len(feats), len(FEATURE_NAMES)),
         np.array(targets, dtype=float),
         family=family.value,
     )
-    return SweepResult(dataset, csv_path, tuple(solved), skipped, tuple(failed))
+    return dataset, csv_path
 
 
 def load_dataset(cfg: StudyConfig, family: ShapeFamily) -> Dataset:

@@ -87,7 +87,7 @@ def study(tmp_path_factory):
     ambient = calibrate_ambient(cfg, target_c=29.7)
     cfg = replace(cfg, thermal=replace(cfg.thermal, t_ambient=ambient))
     t0 = time.perf_counter()
-    sweeps = {fam: run_sweep(cfg, fam) for fam in FAMILIES}
+    sweeps = dict(zip(FAMILIES, run_sweep(cfg, FAMILIES)))
     wall = time.perf_counter() - t0
     curves = {fam: _read_curve(sweeps[fam].csv_path) for fam in FAMILIES}
     return SimpleNamespace(
@@ -357,8 +357,7 @@ def test_sweep_and_learn_outputs_are_byte_identical(tmp_path):
             learn=LearnSpec(train_size=3, test_size=3),
             out_dir=str(tmp_path / run),
         )
-        for fam in FAMILIES:
-            run_sweep(cfg, fam)
+        run_sweep(cfg, FAMILIES)
         for fam in FAMILIES:
             run_learning(load_dataset(cfg, fam), cfg)
         digests.append(_artifact_digests(Path(cfg.out_dir)))

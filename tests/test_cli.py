@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -212,22 +213,52 @@ def test_import_defaults_blas_to_one_thread(preset, expected):
     assert proc.stdout.strip() == expected
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of the import time; only rank_correlation needs it
-    code = "import sys, tactherm.cli; print('scipy.stats' in sys.modules)"
+def test_all_command_leaves_scipy_stats_unloaded(tiny_cfg_path, tmp_path):
+    # scipy.stats would take most of a short run's time; nothing needs it
+    code = (
+        "import sys, tactherm.cli as cli; "
+        f"code = cli.main(['--config', {str(tiny_cfg_path)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}, 'all']); "
+        "print(code, 'scipy.stats' in sys.modules)"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
-                          capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
-def test_sweep_dataset_identical_across_worker_counts(tiny_cfg_path, tmp_path):
-    datasets = []
+def _output_digests(out: Path) -> dict:
+    """Bytes of the datasets, learn files and figures of an `all` run."""
+    paths = [*out.glob("dataset_*.csv"), *(out / "learn").iterdir(),
+             *(out / "figures").iterdir()]
+    return {str(p.relative_to(out)): p.read_bytes() for p in paths}
+
+
+def test_all_uses_one_pool_and_matches_serial(tiny_cfg_path, tmp_path, monkeypatch):
+    pools = []
+
+    class CountingPool(pipeline.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+    outputs = []
     for workers in (1, 2):
         out = tmp_path / f"workers{workers}"
-        subprocess.run(
-            [sys.executable, "-m", "tactherm.cli", "--config", str(tiny_cfg_path),
-             "--out", str(out), "sweep", "--family", "star", "--workers", str(workers)],
-            env=_fresh_env(), capture_output=True, timeout=300, check=True,
-        )
-        datasets.append((out / "dataset_star.csv").read_bytes())
-    assert datasets[0] == datasets[1]
+        assert cli.main(["--config", str(tiny_cfg_path), "--out", str(out), "all",
+                         "--workers", str(workers)]) == 0
+        outputs.append(_output_digests(out))
+    assert pools == [2]  # both families' models went through one pool
+    assert len(outputs[0]) == 2 + 6 + 14
+    assert outputs[0] == outputs[1]
+
+
+def test_copied_output_directory_resumes(tiny_cfg_path, tmp_path, capsys):
+    c = str(tiny_cfg_path)
+    assert cli.main(["--config", c, "all"]) == 0
+    copy = tmp_path / "copy"
+    shutil.copytree(tmp_path / "out", copy)
+    assert cli.main(["--config", c, "--out", str(copy), "figures"]) == 0
+    capsys.readouterr()
+    assert cli.main(["--config", c, "--out", str(copy), "sweep", "--family", "star"]) == 0
+    assert "sweep star: 0 solved, 4 resumed, 0 failed" in capsys.readouterr().out

@@ -202,6 +202,36 @@ def test_rank_correlation():
     assert rank_correlation(a, -a) == pytest.approx(-1.0)
 
 
+def test_rank_correlation_matches_scipy_spearmanr():
+    from scipy.stats import spearmanr
+
+    rng = np.random.default_rng(17)
+    cases = []
+    for size in (5, 12, 30, 98):
+        a, b = rng.normal(size=size), rng.normal(size=size)
+        cases += [
+            (a, b),  # random
+            (np.round(2.0 * a), np.round(b)),  # ties in both
+            (np.repeat(a[: (size + 1) // 2], 2)[:size], b),  # pairs of ties
+            (a, a[::-1].copy()),
+            (np.sort(a), np.sort(a)[::-1]),  # reversed order
+            (a, -3.5 * a + 2.0),  # affine map
+            (a, 0.25 * a - 7.0),
+        ]
+    for a, b in cases:
+        assert abs(rank_correlation(a, b) - spearmanr(a, b).statistic) <= 1e-14
+
+
+def test_rank_correlation_of_a_constant_is_nan():
+    from scipy.stats import spearmanr
+
+    a, flat = np.array([1.0, 3.0, 2.0, 5.0]), np.full(4, 2.5)
+    with pytest.warns(Warning):  # the oracle warns that its input is constant
+        assert math.isnan(spearmanr(flat, a).statistic)
+    assert math.isnan(rank_correlation(flat, a))
+    assert math.isnan(rank_correlation(a, flat))
+
+
 def test_model_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(31)
     x = rng.uniform(-1.5, 1.5, size=(20, 10))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tactherm.fem as fem
+import tactherm.pipeline as pipeline
 from tactherm.errors import ArtifactError, ParameterError
 from tactherm.geometry import ShapeFamily, place_prism
 from tactherm.learn import load_model, predict
@@ -74,6 +75,9 @@ def test_config_hash_tracks_content():
         cfg, thermal=dataclasses.replace(cfg.thermal, q_tumor=2.0e5)
     )
     assert config_hash(bumped) != config_hash(cfg)
+    # the output directory changes no result, so a copied one resumes
+    moved = dataclasses.replace(cfg, out_dir="elsewhere")
+    assert config_hash(moved) == config_hash(cfg)
 
 
 def test_config_rejects_unknown_keys():
@@ -102,7 +106,7 @@ def test_refinement_window_covers_widest_shape():
 
 def test_sweep_solves_resumes_and_builds_dataset(tmp_path):
     cfg = tiny_config(tmp_path / "out")
-    first = run_sweep(cfg, POLY)
+    (first,) = run_sweep(cfg, (POLY,))
     assert len(first.solved) == 4 and not first.skipped and not first.failed
     assert first.dataset.features.shape == (4, 10)
     assert list(first.dataset.targets) == [3.0, 4.0, 5.0, 6.0]
@@ -126,7 +130,7 @@ def test_sweep_solves_resumes_and_builds_dataset(tmp_path):
     plane = section[section[:, 0] == 60.0]
     assert len(plane) == len(np.unique(plane, axis=0)) > 0
 
-    again = run_sweep(cfg, POLY)
+    (again,) = run_sweep(cfg, (POLY,))
     assert not again.solved and len(again.skipped) == 4
     assert np.array_equal(again.dataset.features, first.dataset.features)
 
@@ -139,7 +143,7 @@ def test_sweep_outputs_are_byte_identical(tmp_path):
     texts = []
     for run in ("a", "b"):
         cfg = tiny_config(tmp_path / run)
-        run_sweep(cfg, STAR)
+        run_sweep(cfg, (STAR,))
         csv = (tmp_path / run / "dataset_star.csv").read_bytes()
         one = (tmp_path / run / "models" / "star-n004" / "profile.csv").read_bytes()
         texts.append((csv, one))
@@ -148,11 +152,11 @@ def test_sweep_outputs_are_byte_identical(tmp_path):
 
 def test_sweep_resolves_models_with_missing_artifacts(tmp_path):
     cfg = tiny_config(tmp_path / "out")
-    run_sweep(cfg, POLY)
+    run_sweep(cfg, (POLY,))
     victim = tmp_path / "out" / "models" / model_id(POLY, 5) / "profile.csv"
     victim.unlink()
 
-    healed = run_sweep(cfg, POLY)
+    (healed,) = run_sweep(cfg, (POLY,))
     assert healed.solved == (model_id(POLY, 5),)
     assert len(healed.skipped) == 3
     assert victim.exists()
@@ -162,16 +166,15 @@ def test_blas_thread_setting_invalidates_resume(tmp_path, monkeypatch):
     # the banded factor's last bits depend on the BLAS thread count, so rows
     # solved under another setting must not be mixed into a resumed sweep
     cfg = tiny_config(tmp_path / "out")
-    run_sweep(cfg, POLY)
+    run_sweep(cfg, (POLY,))
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    redo = run_sweep(cfg, POLY)
+    (redo,) = run_sweep(cfg, (POLY,))
     assert len(redo.solved) == 4 and not redo.skipped
 
 
 def test_make_figures_names_a_resume_key_mismatch(tmp_path, monkeypatch):
     cfg = tiny_config(tmp_path / "out")
-    for family in (POLY, STAR):
-        run_sweep(cfg, family)
+    run_sweep(cfg, (POLY, STAR))
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     with pytest.raises(ArtifactError, match="BLAS thread") as exc:
         make_figures(cfg)
@@ -182,7 +185,7 @@ def test_make_figures_names_a_resume_key_mismatch(tmp_path, monkeypatch):
 def test_manifest_records_solver_stats_and_stage_timings(tmp_path, caplog):
     cfg = tiny_config(tmp_path / "out", stop=4)
     with caplog.at_level("INFO", logger="tactherm.pipeline"):
-        run_sweep(cfg, POLY)
+        run_sweep(cfg, (POLY,))
     entries = json.loads((tmp_path / "out" / "manifest.json").read_text())["models"]
     for n in (3, 4):
         entry = entries[model_id(POLY, n)]
@@ -203,20 +206,21 @@ def test_manifest_records_solver_stats_and_stage_timings(tmp_path, caplog):
 
 def test_damaged_manifest_raises_artifact_error(tmp_path):
     cfg = tiny_config(tmp_path / "out")
-    run_sweep(cfg, POLY)
+    run_sweep(cfg, (POLY,))
     manifest = tmp_path / "out" / "manifest.json"
     text = manifest.read_text()
     for damaged in (text[: len(text) // 2], "[1, 2]\n"):
         manifest.write_text(damaged)
         with pytest.raises(ArtifactError, match="manifest"):
-            run_sweep(cfg, POLY)
+            run_sweep(cfg, (POLY,))
         with pytest.raises(ArtifactError, match="manifest"):
             make_figures(cfg)
 
 
 def test_malformed_dataset_row_raises_artifact_error(tmp_path):
     cfg = tiny_config(tmp_path / "out")
-    csv_path = run_sweep(cfg, POLY).csv_path
+    (sweep,) = run_sweep(cfg, (POLY,))
+    csv_path = sweep.csv_path
     lines = csv_path.read_text().splitlines()
     for bad_row in (lines[2].replace(",", ",oops,", 1), lines[2].rsplit(",", 3)[0]):
         csv_path.write_text("\n".join(lines[:2] + [bad_row] + lines[3:]) + "\n")
@@ -226,11 +230,11 @@ def test_malformed_dataset_row_raises_artifact_error(tmp_path):
 
 def test_config_change_invalidates_resume(tmp_path):
     cfg = tiny_config(tmp_path / "out")
-    run_sweep(cfg, POLY)
+    run_sweep(cfg, (POLY,))
     hotter = dataclasses.replace(
         cfg, thermal=dataclasses.replace(cfg.thermal, q_tumor=2.0e5)
     )
-    redo = run_sweep(hotter, POLY)
+    (redo,) = run_sweep(hotter, (POLY,))
     assert len(redo.solved) == 4 and not redo.skipped
 
 
@@ -242,7 +246,7 @@ def test_sweep_records_failures_and_continues(tmp_path):
             tiny_config(tmp_path / f"workers{workers}", stop=12),
             geometry=dataclasses.replace(StudyConfig().geometry, base_area_mm2=310.0),
         )
-        result = run_sweep(cfg, STAR, workers=workers)
+        (result,) = run_sweep(cfg, (STAR,), workers=workers)
         assert len(result.failed) == 1
         assert result.failed[0][0] == "star-n012"
         assert len(result.solved) == 9
@@ -292,7 +296,7 @@ def test_calibrate_ambient_hits_target_exactly(tmp_path):
 
 def test_run_learning_persists_and_round_trips(tmp_path):
     cfg = tiny_config(tmp_path / "out")
-    sweep = run_sweep(cfg, POLY)
+    (sweep,) = run_sweep(cfg, (POLY,))
     first = run_learning(sweep.dataset, cfg)
     second = run_learning(sweep.dataset, cfg)
     assert first.paths and second.paths
@@ -307,7 +311,7 @@ def test_run_learning_persists_and_round_trips(tmp_path):
 
 def test_run_learning_seed_changes_split(tmp_path):
     cfg = tiny_config(tmp_path / "out")
-    sweep = run_sweep(cfg, POLY)
+    (sweep,) = run_sweep(cfg, (POLY,))
     base = run_learning(sweep.dataset, cfg, seed=0, persist=False)
     variants = [run_learning(sweep.dataset, cfg, seed=s, persist=False) for s in range(1, 6)]
     assert any(
@@ -317,8 +321,7 @@ def test_run_learning_seed_changes_split(tmp_path):
 
 def test_make_figures_complete_and_deterministic(tmp_path):
     cfg = tiny_config(tmp_path / "out")
-    run_sweep(cfg, POLY)
-    run_sweep(cfg, STAR)
+    run_sweep(cfg, (POLY, STAR))
     paths = make_figures(cfg)
     names = sorted(p.name for p in paths)
     assert names == [
@@ -345,8 +348,7 @@ def test_make_figures_complete_and_deterministic(tmp_path):
 
 def test_make_figures_without_overlay_orders_uses_end_orders(tmp_path):
     cfg = dataclasses.replace(tiny_config(tmp_path / "out"), sweep=SweepSpec(7, 7, 14))
-    run_sweep(cfg, POLY)
-    run_sweep(cfg, STAR)
+    run_sweep(cfg, (POLY, STAR))
     make_figures(cfg)
     profiles = (tmp_path / "out" / "figures" / "fig_profiles_star.csv").read_text()
     assert profiles.splitlines()[0] == "x_mm,t_c_n007,t_c_n014"
@@ -358,8 +360,7 @@ def test_make_figures_requires_artifacts(tmp_path):
         make_figures(cfg)
     assert not (tmp_path / "out" / "figures").exists()
 
-    run_sweep(cfg, POLY)
-    run_sweep(cfg, STAR)
+    run_sweep(cfg, (POLY, STAR))
     victim = tmp_path / "out" / "models" / "star-n005" / "profile.csv"
     victim.unlink()
     with pytest.raises(ArtifactError) as err:
@@ -370,8 +371,7 @@ def test_make_figures_requires_artifacts(tmp_path):
 
 def test_make_figures_requires_contour_section(tmp_path):
     cfg = tiny_config(tmp_path / "out")
-    run_sweep(cfg, POLY)
-    run_sweep(cfg, STAR)
+    run_sweep(cfg, (POLY, STAR))
     # the contour model is the first family's completed model closest to n=10
     contour = model_id(POLY, 6)
     (tmp_path / "out" / "models" / contour / "section.csv").unlink()
@@ -384,11 +384,37 @@ def test_make_figures_requires_contour_section(tmp_path):
 def test_sweep_with_worker_pool_matches_serial(tmp_path):
     serial = tiny_config(tmp_path / "serial", stop=5)
     pooled = tiny_config(tmp_path / "pooled", stop=5)
-    run_sweep(serial, POLY)
-    run_sweep(pooled, POLY, workers=2)
+    run_sweep(serial, (POLY,))
+    run_sweep(pooled, (POLY,), workers=2)
     a = (tmp_path / "serial" / "dataset_polygon.csv").read_bytes()
     b = (tmp_path / "pooled" / "dataset_polygon.csv").read_bytes()
     assert a == b
+
+
+def test_sweep_pool_is_sized_to_pending_models(tmp_path, monkeypatch):
+    pools = []
+
+    class CountingPool(pipeline.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+    cfg = tiny_config(tmp_path / "out", stop=4)
+    fresh = run_sweep(cfg, (POLY, STAR), workers=3)
+    assert pools == [3]  # one pool for both families' 4 models
+    assert [r.solved for r in fresh] == [("polygon-n003", "polygon-n004"),
+                                         ("star-n003", "star-n004")]
+    models = tmp_path / "out" / "models"
+    (models / "star-n004" / "profile.csv").unlink()
+    (resumed,) = run_sweep(cfg, (STAR,), workers=3)
+    assert resumed.solved == ("star-n004",) and pools == [3]  # one model: serial
+    for mid in ("polygon-n003", "star-n003"):
+        (models / mid / "section.csv").unlink()
+    resumed = run_sweep(cfg, (POLY, STAR), workers=3)
+    assert [r.solved for r in resumed] == [("polygon-n003",), ("star-n003",)]
+    assert [r.skipped for r in resumed] == [("polygon-n004",), ("star-n004",)]
+    assert pools == [3, 2]
 
 
 def test_level0_models_are_mirror_symmetric_and_share_one_plan(monkeypatch):
