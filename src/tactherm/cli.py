@@ -28,6 +28,7 @@ from .fem import energy_balance
 from .geometry import ShapeFamily, place_prism, write_polygon_csv
 from .mesh import build_mesh, mesh_quality, write_mesh_text
 from .pipeline import (
+    CALIBRATION_MODEL,
     StudyConfig,
     calibrate_ambient,
     load_config,
@@ -221,8 +222,9 @@ def _cmd_learn(cfg, args) -> int:
 
 def _cmd_calibrate(cfg, args) -> int:
     ambient = calibrate_ambient(cfg, target_c=args.target)
+    family, n = CALIBRATION_MODEL
     print(f"calibrated t_ambient = {ambient!r} C "
-          f"(polygon n=3 T_max -> {args.target} C)")
+          f"({family.value} n={n} T_max -> {args.target} C)")
     return EXIT_OK
 
 
@@ -234,7 +236,7 @@ def _cmd_figures(cfg, _args) -> int:
 
 
 def _cmd_all(cfg, args) -> int:
-    families = (ShapeFamily.REGULAR_POLYGON, ShapeFamily.STAR_POLYGON)
+    families = tuple(ShapeFamily)
     failures = []
     for family, result in zip(families, run_sweep(cfg, families, workers=args.workers)):
         print(f"sweep {family.value}: {len(result.solved)} solved, "

@@ -31,7 +31,6 @@ the whole-domain problem with the same code.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +117,6 @@ class VectorField:
 class SolveStats:
     iterations: int
     final_residual: float  # relative to ||rhs||
-    wall_time: float  # seconds
     n_free: int  # unknowns of the reduced system K_ff
     band: int  # upper bandwidth of K_ff in the plan's order
 
@@ -380,7 +378,7 @@ def _solve_spd(plan: _ScatterPlan, vals, rhs, *, method: str, tol: float = 1e-10
         rz = rz_new
     raise SolverError(
         f"PCG did not reach tol {tol} within {cap} iterations",
-        stats=SolveStats(cap, float(np.linalg.norm(r)) / bnorm, 0.0, plan.perm.size, plan.band),
+        stats=SolveStats(cap, float(np.linalg.norm(r)) / bnorm, plan.perm.size, plan.band),
     )
 
 
@@ -398,7 +396,6 @@ def solve_heat(
     top, natural (insulated) sides and SYMMETRY plane. Raises
     SingularSystemError when no boundary condition pins the solution.
     """
-    t0 = time.perf_counter()
     if params.h_top == 0.0 and mesh.boundary_nodes(FaceTag.BOTTOM).size == 0:
         raise SingularSystemError("no Dirichlet nodes and h_top = 0: T only fixed up to a constant")
     plan, vals, f = _thermal_system(mesh, params)
@@ -407,7 +404,7 @@ def solve_heat(
     x, iters, res = _solve_spd(plan, vals, rhs, method=method, tol=tol, max_iter=max_iter)
 
     values[plan.free] = x
-    stats = SolveStats(iters, res, time.perf_counter() - t0, plan.perm.size, plan.band)
+    stats = SolveStats(iters, res, plan.perm.size, plan.band)
     return ScalarField(mesh, values), stats
 
 
@@ -461,7 +458,6 @@ def solve_elastic(mesh: TetMesh, params: ElasticParams) -> tuple[VectorField, So
     diagonal-preconditioned CG. Raises SingularSystemError when the reduced
     stiffness is not positive definite.
     """
-    t0 = time.perf_counter()
     plan, vals = _elastic_system(mesh, params)
     z_len = float(mesh.nodes[:, 2].max())
     u = np.zeros(3 * mesh.n_nodes)  # Dirichlet part only
@@ -470,7 +466,7 @@ def solve_elastic(mesh: TetMesh, params: ElasticParams) -> tuple[VectorField, So
     x, iters, res = _solve_spd(plan, vals, rhs, method="direct")
 
     u[plan.free] = x
-    stats = SolveStats(iters, res, time.perf_counter() - t0, plan.perm.size, plan.band)
+    stats = SolveStats(iters, res, plan.perm.size, plan.band)
     return VectorField(mesh, u.reshape(mesh.n_nodes, 3)), stats
 
 
@@ -485,16 +481,16 @@ def deform_mesh(mesh: TetMesh, u: VectorField) -> TetMesh:
     return moved
 
 
-def surface_values(field: ScalarField, points_xy: np.ndarray, tag=FaceTag.TOP) -> np.ndarray:
-    """Interpolate the field at (x, y) points on a tagged boundary surface.
+def surface_values(field: ScalarField, points_xy: np.ndarray) -> np.ndarray:
+    """Interpolate the field at (x, y) points on the TOP surface.
 
-    The tagged triangles are projected to the xy-plane (valid while the
+    The TOP triangles are projected to the xy-plane (valid while the
     deformed surface remains a graph over xy) and sampled barycentrically.
     """
     mesh = field.mesh
-    tris = mesh.faces[mesh.face_tags == tag]
+    tris = mesh.faces[mesh.face_tags == FaceTag.TOP]
     if tris.shape[0] == 0:
-        raise ParameterError(f"mesh has no faces tagged {tag!r}")
+        raise ParameterError("mesh has no TOP faces")
     p = mesh.nodes[tris][:, :, :2]  # (F, 3, 2)
     pts = np.asarray(points_xy, dtype=float)
 
@@ -511,7 +507,7 @@ def surface_values(field: ScalarField, points_xy: np.ndarray, tag=FaceTag.TOP) -
     hit = np.argmax(ok, axis=1)
     if not np.all(ok[np.arange(pts.shape[0]), hit]):
         missing = pts[~ok[np.arange(pts.shape[0]), hit]]
-        raise ParameterError(f"points outside the tagged surface, e.g. {missing[0]}")
+        raise ParameterError(f"points outside the TOP surface, e.g. {missing[0]}")
     idx = np.arange(pts.shape[0])
     tvals = field.values[tris[hit]]
     w = np.stack([w0[idx, hit], w1[idx, hit], w2[idx, hit]], axis=1)

@@ -18,6 +18,10 @@ from .errors import ParameterError, PlacementError
 from .textio import write_csv
 
 
+# the local mesh refinement reaches this far (mm) beyond the prism
+REFINE_MARGIN_MM = 5.0
+
+
 class ShapeFamily(str, Enum):
     """Base-polygon family of the prismatic inclusion."""
 
@@ -96,11 +100,6 @@ class Polygon2D:
     def area(self) -> float:
         return shoelace_area(self.vertices)
 
-    @property
-    def max_radius(self) -> float:
-        """Largest vertex distance from the origin."""
-        return float(np.max(np.hypot(self.vertices[:, 0], self.vertices[:, 1])))
-
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) of the vertex set."""
         v = self.vertices
@@ -128,14 +127,14 @@ class GeometrySpec:
     z_lo: float
     z_hi: float
 
-    def refine_window(self, margin: float = 5.0) -> tuple:
-        """Axis-aligned box around the prism, expanded by `margin` mm."""
+    def refine_window(self) -> tuple:
+        """Axis-aligned box around the prism, expanded by REFINE_MARGIN_MM."""
         xmin, ymin, xmax, ymax = self.base_polygon.bounding_box()
         cx, cy = self.center
         return (
-            (cx + xmin - margin, cx + xmax + margin),
-            (cy + ymin - margin, cy + ymax + margin),
-            (self.z_lo - margin, self.z_hi + margin),
+            (cx + xmin - REFINE_MARGIN_MM, cx + xmax + REFINE_MARGIN_MM),
+            (cy + ymin - REFINE_MARGIN_MM, cy + ymax + REFINE_MARGIN_MM),
+            (self.z_lo - REFINE_MARGIN_MM, self.z_hi + REFINE_MARGIN_MM),
         )
 
 

@@ -58,15 +58,20 @@ from .learn import (
     write_report_csv,
 )
 from .mesh import FaceTag, RefinementSpec, build_mesh
-from .signature import FourierSignature, extract_profile, fit_fourier4, max_surface_temp
-from .textio import atomic_write_text, read_csv, write_csv
+from .signature import (
+    PROFILE_SAMPLES,
+    FourierSignature,
+    extract_profile,
+    fit_fourier4,
+    max_surface_temp,
+)
+from .textio import atomic_write_text, csv_text, read_csv, write_csv
 
 __all__ = [
     "GeometryDefaults",
     "SweepSpec",
     "MeshLevels",
     "LearnSpec",
-    "SolverSpec",
     "StudyConfig",
     "RunManifest",
     "ModelResult",
@@ -98,6 +103,9 @@ CONTOUR_MODEL_N = 10
 # the slab the contour figure resamples
 SECTION_HALF_WIDTH_MM = 2.5
 MODEL_ARTIFACTS = ("profile", "section")
+# run_sweep rewrites the manifest at most this often while models finish,
+# and once more at the end; each rewrite holds every entry so far
+MANIFEST_SAVE_INTERVAL_S = 1.0
 PROFILE_COLUMNS = ["x_m", "t_c"]
 SECTION_COLUMNS = ["x_mm", "z_mm", "t_c"]
 
@@ -142,7 +150,6 @@ class MeshLevels:
     polygon: tuple = ((13, 6, 4, 3), (12, 6, 5, 3), (12, 7, 6, 3))
     star: tuple = ((13, 6, 4, 3), (16, 8, 4, 3), (17, 8, 5, 3))
     level: int = 0
-    margin_mm: float = 5.0
 
     def __post_init__(self):
         for name, ladder in (("polygon", self.polygon), ("star", self.star)):
@@ -153,8 +160,6 @@ class MeshLevels:
                     raise ParameterError(f"bad {name} refinement entry {entry!r}")
         if not 0 <= self.level < min(len(self.polygon), len(self.star)):
             raise ParameterError("refinement level index out of range")
-        if self.margin_mm < 0:
-            raise ParameterError("margin_mm must be >= 0")
 
     def ladder(self, family: ShapeFamily) -> tuple:
         return self.polygon if family is ShapeFamily.REGULAR_POLYGON else self.star
@@ -176,15 +181,6 @@ class LearnSpec:
 
 
 @dataclass(frozen=True)
-class SolverSpec:
-    profile_samples: int = 121
-
-    def __post_init__(self):
-        if self.profile_samples < 41:
-            raise ParameterError("profile_samples must be >= 41")
-
-
-@dataclass(frozen=True)
 class StudyConfig:
     """Every knob of the study in one JSON-serializable document."""
 
@@ -195,7 +191,6 @@ class StudyConfig:
     sweep: SweepSpec = SweepSpec()
     refinement: MeshLevels = MeshLevels()
     learn: LearnSpec = LearnSpec()
-    solver: SolverSpec = SolverSpec()
     out_dir: str = "out"
 
 
@@ -218,7 +213,6 @@ def config_from_dict(data: dict) -> StudyConfig:
         "sweep": SweepSpec,
         "refinement": MeshLevels,
         "learn": LearnSpec,
-        "solver": SolverSpec,
     }
     kwargs = {}
     for key, value in data.items():
@@ -309,7 +303,7 @@ def refinement_spec(
         raise ParameterError(f"refinement level {idx} out of range for {family.value}")
     nx, ny, nz, factor = (int(v) for v in ladder[idx])
     widest = place_prism(tumor_shape(cfg, family, cfg.sweep.start), cfg.tissue)
-    box = widest.refine_window(cfg.refinement.margin_mm)
+    box = widest.refine_window()
     return RefinementSpec(nx, ny, nz, local_factor=factor, refine_box=box)
 
 
@@ -363,7 +357,7 @@ def run_model(
     t_heat = time.perf_counter()
     profile = extract_profile(
         field,
-        cfg.solver.profile_samples,
+        PROFILE_SAMPLES,
         x_range_mm=(0.0, cfg.tissue.x_len),
         y_mid_mm=cfg.tissue.y_len / 2.0,
     )
@@ -399,6 +393,24 @@ def run_model(
 
 # ---------------------------------------------------------------------------
 # manifest
+
+
+def _check_entry(path: Path, mid: str, entry) -> None:
+    """ArtifactError naming the model unless the entry holds what the
+    readers index: a status, and for an ok entry its dataset row and
+    artifact paths."""
+    if not isinstance(entry, dict) or "status" not in entry:
+        raise ArtifactError(f"manifest {path}: entry {mid} is not an object with a status")
+    if entry["status"] != "ok":
+        return
+    lacking = [key for key in ("fit_rmse_rel", "t_max_c", "x_max_m") if key not in entry]
+    sig = entry.get("signature")
+    if not isinstance(sig, dict) or any(name not in sig for name in FEATURE_NAMES):
+        lacking.append("signature")
+    if not isinstance(entry.get("artifacts"), dict):
+        lacking.append("artifacts")
+    if lacking:
+        raise ArtifactError(f"manifest {path}: ok entry {mid} lacks {', '.join(lacking)}")
 
 
 class RunManifest:
@@ -438,7 +450,10 @@ class RunManifest:
                     "sweep with the same config and thread variables"
                 )
             return cls(path, cfg_hash)
-        return cls(path, cfg_hash, data.get("models", {}))
+        models = data.get("models", {})
+        for mid, entry in models.items():
+            _check_entry(path, mid, entry)
+        return cls(path, cfg_hash, models)
 
     def save(self) -> None:
         doc = {"config_hash": self.cfg_hash, "models": self.models}
@@ -480,7 +495,7 @@ class RunManifest:
         """True when the model completed and all its artifact files exist."""
         if not self.completed(mid):
             return False
-        arts = self.models[mid].get("artifacts", {})
+        arts = self.models[mid]["artifacts"]
         return all(
             kind in arts and (Path(out_dir) / arts[kind]).exists()
             for kind in MODEL_ARTIFACTS
@@ -548,6 +563,8 @@ def run_sweep(
     disk always matches the manifest. Failures are recorded per model and the
     sweep continues. With workers > 1 and more than one pending model, one
     pool of at most `workers` processes solves the models of all families.
+    The manifest is saved at most every MANIFEST_SAVE_INTERVAL_S and once
+    when the loop ends, also when it is interrupted.
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -563,9 +580,11 @@ def run_sweep(
     ]
     solved = {family: [] for family in families}
     failed = {family: [] for family in families}
+    last_save = time.monotonic()
 
     def finish(family: ShapeFamily, n: int, solve) -> None:
         """Run or collect one model's solve and record its outcome."""
+        nonlocal last_save
         mid = model_id(family, n)
         try:
             result = solve()
@@ -583,17 +602,22 @@ def run_sweep(
                 "%s ok in %.2f s (%s); residuals elastic %.1e, heat %.1e",
                 mid, result.wall_time, stages, result.elastic_residual, result.heat_residual,
             )
-        manifest.save()
+        if time.monotonic() - last_save >= MANIFEST_SAVE_INTERVAL_S:
+            manifest.save()
+            last_save = time.monotonic()
 
-    if workers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-            futures = deque(pool.submit(_solve_job, (cfg, *job)) for job in pending)
+    try:
+        if workers > 1 and len(pending) > 1:
+            with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
+                futures = deque(pool.submit(_solve_job, (cfg, *job)) for job in pending)
+                for job in pending:
+                    # popped so that each result is freed once it is reduced
+                    finish(*job, futures.popleft().result)
+        else:
             for job in pending:
-                # popped so that each result is freed once it is reduced
-                finish(*job, futures.popleft().result)
-    else:
-        for job in pending:
-            finish(*job, partial(_solve_job, (cfg, *job)))
+                finish(*job, partial(_solve_job, (cfg, *job)))
+    finally:  # an interrupted sweep still records every finished model
+        manifest.save()
 
     results = []
     for family in families:
@@ -754,17 +778,17 @@ def mesh_study(cfg: StudyConfig, family: ShapeFamily, n: int = 10) -> MeshStudyR
 # ambient calibration
 
 
-def calibrate_ambient(
-    cfg: StudyConfig,
-    target_c: float = 29.7,
-    family: ShapeFamily = ShapeFamily.REGULAR_POLYGON,
-    n: int = 3,
-) -> float:
-    """Ambient temperature that puts the reference model's T_max at target.
+# the (family, n) model whose T_max calibrate_ambient matches to the target
+CALIBRATION_MODEL = (ShapeFamily.REGULAR_POLYGON, 3)
+
+
+def calibrate_ambient(cfg: StudyConfig, target_c: float = 29.7) -> float:
+    """Ambient temperature that puts CALIBRATION_MODEL's T_max at target.
 
     The steady temperature field is affine in t_ambient (it enters only the
     Robin right-hand side), so two solves determine the calibration exactly.
     """
+    family, n = CALIBRATION_MODEL
     a0 = cfg.thermal.t_ambient
     a1 = a0 - 2.0
     t0 = run_model(cfg, family, n).t_max_c
@@ -853,70 +877,53 @@ def _idw_resample(px, pz, pt, grid_x, grid_z) -> np.ndarray:
     return vals.reshape(gx.shape)
 
 
-def make_figures(cfg: StudyConfig, families=None) -> tuple:
+def make_figures(cfg: StudyConfig) -> tuple:
     """Emit every figure with the raw CSV behind it; nothing partial.
 
-    Requires completed sweep artifacts; missing models are reported by id.
+    Requires every sweep model of both families completed with its
+    artifacts; one ArtifactError names all the models that are not.
     All documents are assembled in memory before the first file is written.
     """
-    if families is None:
-        families = (ShapeFamily.REGULAR_POLYGON, ShapeFamily.STAR_POLYGON)
+    families = tuple(ShapeFamily)
     out_dir = Path(cfg.out_dir)
     fig_dir = out_dir / "figures"
     orders = cfg.sweep.values()
 
     manifest = RunManifest.load(out_dir / "manifest.json", config_hash(cfg), strict=True)
     missing = [
-        mid
-        for mid in sorted(manifest.models)
-        if manifest.completed(mid) and not manifest.has_artifacts(mid, out_dir)
+        model_id(family, n)
+        for family in families
+        for n in orders
+        if not manifest.has_artifacts(model_id(family, n), out_dir)
     ]
     if missing:
         raise ArtifactError(
-            f"artifacts missing for {len(missing)} completed models: "
+            f"sweep incomplete: {len(missing)} models not completed with artifacts: "
             f"{', '.join(missing[:5])}{', ...' if len(missing) > 5 else ''}",
             missing=missing,
         )
 
     documents = {}  # relative name -> text
 
-    def tmax_rows(family):
-        rows = []
-        for n in orders:
-            entry = manifest.models.get(model_id(family, n))
-            if not entry or entry.get("status") != "ok":
-                raise ArtifactError(
-                    f"sweep incomplete for {family.value}: {model_id(family, n)}",
-                    missing=[model_id(family, n)],
-                )
-            rows.append((n, entry["t_max_c"]))
-        return rows
-
     for family in families:
-        datasets_rows = tmax_rows(family)
-        if not datasets_rows:
-            raise ArtifactError(f"no completed models for {family.value}")
+        entries = [manifest.models[model_id(family, n)] for n in orders]
 
         # --- T_max vs n
-        ns = [r[0] for r in datasets_rows]
-        ts = [r[1] for r in datasets_rows]
+        ts = [entry["t_max_c"] for entry in entries]
         name = f"fig_tmax_{family.value}"
-        documents[f"{name}.csv"] = None, (["n", "t_max_c"], list(datasets_rows))
-        documents[f"{name}.svg"] = (
-            svgplot.line_chart(
-                [(family.value, [float(v) for v in ns], ts)],
-                title=f"Maximum surface temperature vs {family.value} order",
-                x_label="number of sides/wings n",
-                y_label="T_max (deg C)",
-                markers=True,
-            ),
-            None,
+        documents[f"{name}.csv"] = csv_text(["n", "t_max_c"], list(zip(orders, ts)))
+        documents[f"{name}.svg"] = svgplot.line_chart(
+            [(family.value, [float(v) for v in orders], ts)],
+            title=f"Maximum surface temperature vs {family.value} order",
+            x_label="number of sides/wings n",
+            y_label="T_max (deg C)",
+            markers=True,
         )
 
         # --- centerline profile overlay
         # a slice holding none of the overlay orders shows its two end orders
-        chosen = [n for n in PROFILE_OVERLAY_ORDERS if n in ns]
-        chosen = chosen or sorted({min(ns), max(ns)})
+        chosen = [n for n in PROFILE_OVERLAY_ORDERS if n in orders]
+        chosen = chosen or sorted({min(orders), max(orders)})
         series, first_x = [], None
         for n in chosen:
             entry = manifest.models[model_id(family, n)]
@@ -930,24 +937,16 @@ def make_figures(cfg: StudyConfig, families=None) -> tuple:
             [first_x[i] * 1e3] + [series[j][2][i] for j in range(len(series))]
             for i in range(len(first_x))
         ]
-        documents[f"{name}.csv"] = None, (header, rows)
-        documents[f"{name}.svg"] = (
-            svgplot.line_chart(
-                series,
-                title=f"Top-surface centerline temperature, {family.value} tumors",
-                x_label="x (mm)",
-                y_label="T (deg C)",
-            ),
-            None,
+        documents[f"{name}.csv"] = csv_text(header, rows)
+        documents[f"{name}.svg"] = svgplot.line_chart(
+            series,
+            title=f"Top-surface centerline temperature, {family.value} tumors",
+            x_label="x (mm)",
+            y_label="T (deg C)",
         )
 
         # --- normalized-coefficient box plot
-        feats = np.array(
-            [
-                [manifest.models[model_id(family, n)]["signature"][f] for f in FEATURE_NAMES]
-                for n in ns
-            ]
-        )
+        feats = np.array([[entry["signature"][f] for f in FEATURE_NAMES] for entry in entries])
         normalized = fit_normalizer(feats).transform(feats)
         boxes, box_rows = [], []
         for j, fname in enumerate(FEATURE_NAMES):
@@ -956,29 +955,20 @@ def make_figures(cfg: StudyConfig, families=None) -> tuple:
             boxes.append((fname, five))
             box_rows.append([fname, *five])
         name = f"fig_box_{family.value}"
-        documents[f"{name}.csv"] = None, (
-            ["coefficient", "min", "q1", "median", "q3", "max"],
-            box_rows,
+        documents[f"{name}.csv"] = csv_text(
+            ["coefficient", "min", "q1", "median", "q3", "max"], box_rows
         )
-        documents[f"{name}.svg"] = (
-            svgplot.box_chart(
-                boxes,
-                title=f"Normalized signature coefficients, {family.value} sweep",
-                y_label="normalized value",
-            ),
-            None,
+        documents[f"{name}.svg"] = svgplot.box_chart(
+            boxes,
+            title=f"Normalized signature coefficients, {family.value} sweep",
+            x_label="coefficient",
+            y_label="normalized value",
         )
 
-    # --- mid cross-section contour of the reference model (the completed
-    # model of the first family closest to n=10, ties toward smaller n)
-    contour_family = families[0]
-    done = sorted(
-        n for n in orders if manifest.completed(model_id(contour_family, n))
-    )
-    if not done:
-        raise ArtifactError(f"no completed models for {contour_family.value}")
-    pick = min(done, key=lambda n: (abs(n - CONTOUR_MODEL_N), n))
-    mid = model_id(contour_family, pick)
+    # --- mid cross-section contour of the reference model (the first
+    # family's model closest to n=10, ties toward smaller n)
+    pick = min(orders, key=lambda n: (abs(n - CONTOUR_MODEL_N), n))
+    mid = model_id(families[0], pick)
     path = out_dir / manifest.models[mid]["artifacts"]["section"]
     x, z, t = _read_float_table(path, SECTION_COLUMNS).T
     grid_x = np.linspace(x.min(), x.max(), 61)
@@ -989,31 +979,23 @@ def make_figures(cfg: StudyConfig, families=None) -> tuple:
         for i in range(len(grid_x))
         for j in range(len(grid_z))
     ]
-    documents["fig_contour.csv"] = None, (["x_mm", "z_mm", "t_c"], contour_rows)
+    documents["fig_contour.csv"] = csv_text(["x_mm", "z_mm", "t_c"], contour_rows)
     xe = np.linspace(grid_x[0], grid_x[-1], len(grid_x) + 1)
     ze = np.linspace(grid_z[0], grid_z[-1], len(grid_z) + 1)
-    documents["fig_contour.svg"] = (
-        svgplot.heatmap(
-            list(xe),
-            list(ze),
-            [[float(vals[i, j]) for i in range(len(grid_x))] for j in range(len(grid_z))],
-            title=f"Mid cross-section temperature, {mid}",
-            x_label="x (mm)",
-            y_label="z (mm)",
-            value_label="T (deg C)",
-        ),
-        None,
+    documents["fig_contour.svg"] = svgplot.heatmap(
+        list(xe),
+        list(ze),
+        [[float(vals[i, j]) for i in range(len(grid_x))] for j in range(len(grid_z))],
+        title=f"Mid cross-section temperature, {mid}",
+        x_label="x (mm)",
+        y_label="z (mm)",
+        value_label="T (deg C)",
     )
 
     # everything assembled; write in deterministic order
     fig_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for rel in sorted(documents):
-        text, csv_parts = documents[rel]
-        path = fig_dir / rel
-        if csv_parts is not None:
-            write_csv(path, csv_parts[0], csv_parts[1])
-        else:
-            atomic_write_text(path, text)
-        written.append(path)
+        atomic_write_text(fig_dir / rel, documents[rel])
+        written.append(fig_dir / rel)
     return tuple(written)

@@ -21,9 +21,10 @@ import numpy as np
 
 from .errors import DegenerateFitError, ParameterError
 from .fem import ScalarField, surface_values
-from .mesh import FaceTag
 
 N_HARMONICS = 4
+# samples along the centerline path of every production profile
+PROFILE_SAMPLES = 121
 
 
 @dataclass(frozen=True)
@@ -83,39 +84,31 @@ class FourierSignature:
 
 def extract_profile(
     field: ScalarField,
-    samples: int = 121,
+    samples: int,
     *,
-    x_range_mm: tuple | None = None,
-    y_mid_mm: float | None = None,
+    x_range_mm: tuple,
+    y_mid_mm: float,
 ) -> SurfaceProfile:
-    """Sample the top-surface temperature along y = Y/2.
+    """Sample the top-surface temperature along y = y_mid_mm.
 
     Sampling is barycentric on the tagged top faces (projected to xy), so it
-    follows the deformed surface when the mesh was compressed. Pass the
-    undeformed block extents explicitly for a compressed mesh (compression
-    only bulges the footprint outward, so the original path stays covered).
-    Positions come back in meters.
+    follows the deformed surface when the mesh was compressed. The path is
+    given in undeformed block coordinates: compression only bulges the
+    footprint outward, so the original path stays covered. Positions come
+    back in meters.
 
     The mesh is the x <= c half of a mirror-symmetric block, with a SYMMETRY
     plane at x = c (see build_mesh). The path covers the whole block and
-    must be symmetric about c; by default it runs from the least top-face x
-    to its mirror image. The field is sampled at the folded positions
+    must be symmetric about c. The field is sampled at the folded positions
     min(x, 2c - x) of the first half of the path and mirrored onto the
     second, so that T(x_i) == T(x_{S-1-i}) bit for bit.
     """
-    if samples < 41:
-        raise ParameterError("need at least 41 samples")
-    mesh = field.mesh
-    c = mesh.symmetry_x
+    c = field.mesh.symmetry_x
     if c is None:
         raise ParameterError("profile needs a half-block mesh with a SYMMETRY plane")
-    top_xy = mesh.nodes[mesh.boundary_nodes(FaceTag.TOP), :2]
-    x0 = float(top_xy[:, 0].min())
-    lo, hi = x_range_mm if x_range_mm is not None else (x0, 2.0 * c - x0)
+    lo, hi = x_range_mm
     if abs(lo + hi - 2.0 * c) > 1e-9 * (hi - lo):
         raise ParameterError(f"profile path [{lo}, {hi}] mm is not symmetric about x = {c} mm")
-    if y_mid_mm is None:
-        y_mid_mm = 0.5 * float(top_xy[:, 1].min() + top_xy[:, 1].max())
     x_mm = np.linspace(lo, hi, samples)
     k = (samples + 1) // 2
     folded = np.minimum(x_mm[:k], 2.0 * c - x_mm[:k])

@@ -94,13 +94,21 @@ def _frame_for(xs: list[float], ys: list[float], pad: float = 0.04) -> Frame:
     return Frame(x_lo - dx, x_hi + dx, y_lo - dy, y_hi + dy)
 
 
-def _axes(frame: Frame, x_label: str, y_label: str) -> list[str]:
+def _value_ticks(lo: float, hi: float) -> list[tuple[float, str]]:
+    return [(t, _tick_label(t)) for t in _nice_ticks(lo, hi)]
+
+
+def _axes(
+    frame: Frame, x_ticks: list[tuple[float, str]], x_label: str, y_label: str, title: str
+) -> list[str]:
+    """Frame, (x, label) ticks along x, value ticks along y, both axis
+    labels and the visible title."""
     parts = [
         f'<rect x="{_num(frame.left)}" y="{_num(frame.top)}" width="{_num(frame.width)}"'
         f' height="{_num(frame.height)}" fill="none" stroke="#333333" stroke-width="1"/>'
     ]
     bottom = frame.top + frame.height
-    for t in _nice_ticks(frame.x_lo, frame.x_hi):
+    for t, label in x_ticks:
         x = frame.px(t)
         parts.append(
             f'<line x1="{_num(x)}" y1="{_num(bottom)}" x2="{_num(x)}" y2="{_num(bottom + 5)}"'
@@ -108,9 +116,9 @@ def _axes(frame: Frame, x_label: str, y_label: str) -> list[str]:
         )
         parts.append(
             f'<text x="{_num(x)}" y="{_num(bottom + 18)}" {_FONT} font-size="12"'
-            f' text-anchor="middle">{_tick_label(t)}</text>'
+            f' text-anchor="middle">{label}</text>'
         )
-    for t in _nice_ticks(frame.y_lo, frame.y_hi):
+    for t, label in _value_ticks(frame.y_lo, frame.y_hi):
         y = frame.py(t)
         parts.append(
             f'<line x1="{_num(frame.left - 5)}" y1="{_num(y)}" x2="{_num(frame.left)}" y2="{_num(y)}"'
@@ -118,7 +126,7 @@ def _axes(frame: Frame, x_label: str, y_label: str) -> list[str]:
         )
         parts.append(
             f'<text x="{_num(frame.left - 8)}" y="{_num(y + 4)}" {_FONT} font-size="12"'
-            f' text-anchor="end">{_tick_label(t)}</text>'
+            f' text-anchor="end">{label}</text>'
         )
     parts.append(
         f'<text x="{_num(frame.left + frame.width / 2)}" y="{_num(bottom + 36)}" {_FONT}'
@@ -128,6 +136,10 @@ def _axes(frame: Frame, x_label: str, y_label: str) -> list[str]:
         f'<text x="16" y="{_num(frame.top + frame.height / 2)}" {_FONT} font-size="13"'
         f' text-anchor="middle" transform="rotate(-90 16 {_num(frame.top + frame.height / 2)})"'
         f'>{y_label}</text>'
+    )
+    parts.append(
+        f'<text x="{_num(frame.left + frame.width / 2)}" y="14" {_FONT} font-size="14"'
+        f' text-anchor="middle">{title}</text>'
     )
     return parts
 
@@ -156,11 +168,7 @@ def line_chart(
     xs = [x for _, sx, _ in series for x in sx]
     ys = [y for _, _, sy in series for y in sy]
     frame = _frame_for(xs, ys)
-    body = _axes(frame, x_label, y_label)
-    body.append(
-        f'<text x="{_num(frame.left + frame.width / 2)}" y="14" {_FONT} font-size="14"'
-        f' text-anchor="middle">{title}</text>'
-    )
+    body = _axes(frame, _value_ticks(frame.x_lo, frame.x_hi), x_label, y_label, title)
     for i, (name, sx, sy) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         points = " ".join(f"{_num(frame.px(x))},{_num(frame.py(y))}" for x, y in zip(sx, sy))
@@ -222,11 +230,7 @@ def heatmap(
                 f'<rect x="{_num(x0)}" y="{_num(y0)}" width="{_num(x1 - x0)}"'
                 f' height="{_num(y1 - y0)}" fill="{color}"/>'
             )
-    body += _axes(frame, x_label, y_label)
-    body.append(
-        f'<text x="{_num(frame.left + frame.width / 2)}" y="14" {_FONT} font-size="14"'
-        f' text-anchor="middle">{title}</text>'
-    )
+    body += _axes(frame, _value_ticks(frame.x_lo, frame.x_hi), x_label, y_label, title)
     bar_x = frame.left + frame.width + 16
     steps = 24
     for s in range(steps):
@@ -249,6 +253,7 @@ def box_chart(
     boxes: list[tuple[str, tuple[float, float, float, float, float]]],
     *,
     title: str,
+    x_label: str,
     y_label: str,
 ) -> str:
     """Render (label, (min, q1, median, q3, max)) tuples as box-and-whisker glyphs."""
@@ -256,22 +261,10 @@ def box_chart(
         raise ValueError("box_chart needs at least one box")
     ys = [v for _, stats in boxes for v in stats]
     frame = _frame_for([0.0, float(len(boxes))], ys)
-    body = [
-        f'<rect x="{_num(frame.left)}" y="{_num(frame.top)}" width="{_num(frame.width)}"'
-        f' height="{_num(frame.height)}" fill="none" stroke="#333333" stroke-width="1"/>'
-    ]
-    for t in _nice_ticks(frame.y_lo, frame.y_hi):
-        y = frame.py(t)
-        body.append(
-            f'<line x1="{_num(frame.left - 5)}" y1="{_num(y)}" x2="{_num(frame.left)}" y2="{_num(y)}"'
-            f' stroke="#333333" stroke-width="1"/>'
-        )
-        body.append(
-            f'<text x="{_num(frame.left - 8)}" y="{_num(y + 4)}" {_FONT} font-size="12"'
-            f' text-anchor="end">{_tick_label(t)}</text>'
-        )
+    x_ticks = [(i + 0.5, label) for i, (label, _) in enumerate(boxes)]
+    body = _axes(frame, x_ticks, x_label, y_label, title)
     half = 0.28
-    for i, (label, (lo, q1, med, q3, hi)) in enumerate(boxes):
+    for i, (_, (lo, q1, med, q3, hi)) in enumerate(boxes):
         cx = i + 0.5
         x0, x1 = frame.px(cx - half), frame.px(cx + half)
         xc = frame.px(cx)
@@ -299,17 +292,4 @@ def box_chart(
             f'<line x1="{_num(x0)}" y1="{_num(frame.py(med))}" x2="{_num(x1)}"'
             f' y2="{_num(frame.py(med))}" stroke="{color}" stroke-width="1.8"/>'
         )
-        body.append(
-            f'<text x="{_num(xc)}" y="{_num(frame.top + frame.height + 18)}" {_FONT}'
-            f' font-size="12" text-anchor="middle">{label}</text>'
-        )
-    body.append(
-        f'<text x="16" y="{_num(frame.top + frame.height / 2)}" {_FONT} font-size="13"'
-        f' text-anchor="middle" transform="rotate(-90 16 {_num(frame.top + frame.height / 2)})"'
-        f'>{y_label}</text>'
-    )
-    body.append(
-        f'<text x="{_num(frame.left + frame.width / 2)}" y="14" {_FONT} font-size="14"'
-        f' text-anchor="middle">{title}</text>'
-    )
     return _document(body, frame.left + frame.width + 24, frame.top + frame.height + 48, title)

@@ -38,12 +38,17 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """Write a CSV with canonical float formatting and a trailing newline."""
+def csv_text(header: list[str], rows) -> str:
+    """CSV text with canonical float formatting and a trailing newline."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write csv_text(header, rows) to path."""
+    atomic_write_text(path, csv_text(header, rows))
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:

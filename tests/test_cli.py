@@ -120,9 +120,21 @@ def test_damaged_artifacts_exit_3(tiny_cfg_path, tmp_path, capsys):
     c = str(tiny_cfg_path)
     assert cli.main(["--config", c, "sweep", "--family", "polygon"]) == 0
     manifest = tmp_path / "out" / "manifest.json"
-    manifest.write_text(manifest.read_text()[:100])
+    text = manifest.read_text()
+    manifest.write_text(text[:100])
     assert cli.main(["--config", c, "figures"]) == 3
     assert "manifest" in capsys.readouterr().err
+
+    # damaged entries: one not an object, one ok entry without its signature
+    not_an_object = json.loads(text)
+    not_an_object["models"]["polygon-n004"] = 7
+    no_signature = json.loads(text)
+    del no_signature["models"]["polygon-n005"]["signature"]
+    for mid, doc in (("polygon-n004", not_an_object), ("polygon-n005", no_signature)):
+        manifest.write_text(json.dumps(doc))
+        for command in (["figures"], ["sweep", "--family", "polygon"]):
+            assert cli.main(["--config", c, *command]) == 3
+            assert mid in capsys.readouterr().err
 
     dataset = tmp_path / "out" / "dataset_polygon.csv"
     header, first, *rest = dataset.read_text().splitlines()

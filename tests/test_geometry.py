@@ -121,7 +121,7 @@ def test_place_prism_defaults():
     assert spec.center == (60.0, 30.0)
     assert spec.z_lo == pytest.approx(5.0)
     assert spec.z_hi == pytest.approx(13.0)
-    (x0, x1), (y0, y1), (z0, z1) = spec.refine_window(margin=5.0)
+    (x0, x1), (y0, y1), (z0, z1) = spec.refine_window()
     assert x0 < 60.0 < x1 and y0 < 30.0 < y1
     assert z0 == pytest.approx(0.0) and z1 == pytest.approx(18.0)
 

@@ -35,6 +35,7 @@ from tactherm.pipeline import (
     save_config,
     tumor_shape,
 )
+from tactherm.signature import PROFILE_SAMPLES
 
 POLY = ShapeFamily.REGULAR_POLYGON
 STAR = ShapeFamily.STAR_POLYGON
@@ -89,6 +90,10 @@ def test_config_rejects_unknown_keys():
         config_from_json("not json at all {")
     with pytest.raises(ParameterError):
         config_from_json(json.dumps({"sweep": {"start": 2}}))
+    # profile sampling and the refinement margin are constants, not keys
+    for removed in ({"solver": {"profile_samples": 121}}, {"refinement": {"margin_mm": 5.0}}):
+        with pytest.raises(ParameterError, match="unknown"):
+            config_from_json(json.dumps(removed))
 
 
 def test_refinement_window_covers_widest_shape():
@@ -209,12 +214,62 @@ def test_damaged_manifest_raises_artifact_error(tmp_path):
     run_sweep(cfg, (POLY,))
     manifest = tmp_path / "out" / "manifest.json"
     text = manifest.read_text()
-    for damaged in (text[: len(text) // 2], "[1, 2]\n"):
+    not_an_object = json.loads(text)
+    not_an_object["models"]["polygon-n004"] = [1, 2]
+    no_signature = json.loads(text)
+    del no_signature["models"]["polygon-n005"]["signature"]
+    for damaged, match in (
+        (text[: len(text) // 2], "manifest"),
+        ("[1, 2]\n", "manifest"),
+        (json.dumps(not_an_object), "manifest .*polygon-n004"),
+        (json.dumps(no_signature), "manifest .*polygon-n005 lacks signature"),
+    ):
         manifest.write_text(damaged)
-        with pytest.raises(ArtifactError, match="manifest"):
+        with pytest.raises(ArtifactError, match=match):
             run_sweep(cfg, (POLY,))
-        with pytest.raises(ArtifactError, match="manifest"):
+        with pytest.raises(ArtifactError, match=match):
             make_figures(cfg)
+
+
+def test_sweep_saves_the_manifest_less_often_than_it_solves(tmp_path, monkeypatch):
+    saves = []
+    real_save = pipeline.RunManifest.save
+
+    def counting_save(self):
+        saves.append(len(self.models))
+        real_save(self)
+
+    monkeypatch.setattr(pipeline.RunManifest, "save", counting_save)
+    cfg = tiny_config(tmp_path / "out", stop=10)
+    (result,) = run_sweep(cfg, (POLY,))
+    assert len(result.solved) == 8
+    assert len(saves) < 8 and saves[-1] == 8
+    entries = json.loads((tmp_path / "out" / "manifest.json").read_text())["models"]
+    assert sorted(entries) == sorted(result.solved)
+    assert all(entry["status"] == "ok" for entry in entries.values())
+
+
+def test_interrupted_sweep_records_finished_models(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path / "out", stop=8)
+    calls = []
+
+    def interrupted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 4:
+            raise KeyboardInterrupt
+        return run_model(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_model", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(cfg, (POLY,))
+    monkeypatch.undo()
+    entries = json.loads((tmp_path / "out" / "manifest.json").read_text())["models"]
+    done = [model_id(POLY, n) for n in (3, 4, 5)]
+    assert sorted(entries) == done
+    assert all(entry["status"] == "ok" for entry in entries.values())
+    (resumed,) = run_sweep(cfg, (POLY,))
+    assert resumed.skipped == tuple(done)
+    assert resumed.solved == tuple(model_id(POLY, n) for n in (6, 7, 8))
 
 
 def test_malformed_dataset_row_raises_artifact_error(tmp_path):
@@ -434,6 +489,11 @@ def test_level0_models_are_mirror_symmetric_and_share_one_plan(monkeypatch):
     for family in (POLY, STAR):
         result = run_model(cfg, family, 10)
         np.testing.assert_array_equal(result.profile_t_c, result.profile_t_c[::-1])
+        # one profile path: the undeformed block centerline, whatever the
+        # compression did to the top surface
+        np.testing.assert_array_equal(
+            result.profile_x_m, np.linspace(0.0, 120.0, PROFILE_SAMPLES) * 1e-3
+        )
         assert max(abs(b) for b in result.signature.b) <= 1e-12
         mesh = build_mesh(place_prism(tumor_shape(cfg, family, 10), cfg.tissue),
                           refinement_spec(cfg, family))

@@ -129,7 +129,7 @@ def test_extract_profile_constant_field():
     geom = place_prism(TumorShape(ShapeFamily.REGULAR_POLYGON, n=10), TissueDims())
     mesh = build_mesh(geom, RefinementSpec(8, 4, 3))
     field = ScalarField(mesh, np.full(mesh.n_nodes, 31.5))
-    prof = extract_profile(field, samples=61)
+    prof = extract_profile(field, 61, x_range_mm=(0.0, 120.0), y_mid_mm=30.0)
     np.testing.assert_allclose(prof.temps, 31.5, rtol=1e-12)
     assert prof.positions[0] == pytest.approx(0.0)
     assert prof.positions[-1] == pytest.approx(0.12)
@@ -139,20 +139,21 @@ def test_extract_profile_samples_spacing():
     geom = place_prism(TumorShape(ShapeFamily.REGULAR_POLYGON, n=10), TissueDims())
     mesh = build_mesh(geom, RefinementSpec(8, 4, 3))
     field = ScalarField(mesh, mesh.nodes[:, 0].copy())
-    prof = extract_profile(field, samples=121)
+    path = dict(x_range_mm=(0.0, 120.0), y_mid_mm=30.0)
+    prof = extract_profile(field, 121, **path)
     d = np.diff(prof.positions)
     np.testing.assert_allclose(d, 0.001, rtol=1e-12)  # 1 mm in meters
     # field = x (mm) on the solved x <= 60 half: the profile reads the
     # mirrored field, min(x, 120 - x), at every sample position
     x_mm = prof.positions * 1e3
     np.testing.assert_allclose(prof.temps, np.minimum(x_mm, 120.0 - x_mm), rtol=1e-10)
-    with pytest.raises(ParameterError):
-        extract_profile(field, samples=11)
+    with pytest.raises(ParameterError, match="41 samples"):
+        extract_profile(field, 11, **path)
     with pytest.raises(ParameterError, match="not symmetric"):
-        extract_profile(field, x_range_mm=(0.0, 100.0))
+        extract_profile(field, 121, x_range_mm=(0.0, 100.0), y_mid_mm=30.0)
     whole, _ = oracles.mirror_mesh(mesh)
     with pytest.raises(ParameterError, match="SYMMETRY"):
-        extract_profile(ScalarField(whole, np.zeros(whole.n_nodes)))
+        extract_profile(ScalarField(whole, np.zeros(whole.n_nodes)), 121, **path)
 
 
 @pytest.fixture(scope="module")

@@ -71,7 +71,7 @@ def test_heatmap_constant_field_does_not_divide_by_zero():
 def test_box_chart_renders_all_boxes_with_labels():
     svg = box_chart(
         [("a1", (0.0, 1.0, 2.0, 3.0, 4.0)), ("b2", (1.0, 1.5, 2.0, 2.5, 3.0))],
-        title="spread", y_label="value",
+        title="spread", x_label="coefficient", y_label="value",
     )
     assert ">a1<" in svg and ">b2<" in svg
     assert svg.count("fill-opacity") == 2
@@ -79,4 +79,4 @@ def test_box_chart_renders_all_boxes_with_labels():
 
 def test_box_chart_rejects_empty_input():
     with pytest.raises(ValueError):
-        box_chart([], title="t", y_label="y")
+        box_chart([], title="t", x_label="x", y_label="y")
