@@ -34,7 +34,7 @@ class DegenerateFitError(TacthermError, ValueError):
 
 
 class TrainingError(TacthermError, RuntimeError):
-    """RBF weight solve failed beyond ridge rescue."""
+    """RBF interpolation system singular: duplicate normalized training rows."""
 
 
 class DatasetSizeError(TacthermError, ValueError):

@@ -1,15 +1,20 @@
 """Shape-order recovery from Fourier signatures.
 
 An exact-interpolation RBF network: every training signature becomes a
-Gaussian center, and the output layer (plus bias) is solved in one shot from
-the regularized normal equations. There is no iterative training. Features
-are min-max normalized to [-1, 1] using the training split only.
+center of the scale-free kernel phi(r) = r, and the output layer (plus a
+constant) is solved in one shot. There is no iterative training and no width
+or ridge to set. Features are min-max normalized to [-1, 1] using the
+training split only.
+
+The paper says "RBFNN" without naming a kernel; the classical choice is a
+Gaussian, so phi(r) = r is a departure. A Gaussian of width 1 on these
+features has cond(Phi) of 1e18 and above and does not interpolate its own
+training rows; phi(r) = r has no scale to choose and interpolates them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
@@ -96,63 +101,51 @@ def fit_normalizer(features: np.ndarray) -> Normalizer:
     return Normalizer(lo=x.min(axis=0), hi=x.max(axis=0))
 
 
-def _kernel(xn: np.ndarray, centers: np.ndarray, width: float) -> np.ndarray:
-    d2 = ((xn[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return np.exp(-d2 / width**2)
+def _kernel(xn: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """phi(r) = r: the Euclidean distance from every row to every center."""
+    return np.sqrt(((xn[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2))
 
 
 @dataclass(frozen=True)
 class RbfModel:
     centers: np.ndarray  # (C, F) normalized training features
-    width: float
-    ridge: float
-    weights: np.ndarray  # (C + 1,), last entry is the bias
+    weights: np.ndarray  # (C + 1,), last entry is the constant
     normalizer: Normalizer
 
 
-def train_rbf(
-    features: np.ndarray,
-    targets: np.ndarray,
-    width: float = 1.0,
-    ridge: float = 1e-10,
-) -> RbfModel:
-    """One-shot least-squares fit of the output layer.
+def train_rbf(features: np.ndarray, targets: np.ndarray) -> RbfModel:
+    """The exact interpolant s(x) = sum_j w_j |x - c_j| + w_C with
+    sum_j w_j = 0.
 
-    Design matrix A = [Phi | 1] with Phi the Gaussian kernel between every
-    training pair. The bias column makes A underdetermined (n equations,
-    n+1 weights), so the ridge problem is solved in its dual form,
-    w = A'(AA' + ridge I)^{-1} y: AA' = Phi Phi' + 11' is positive definite
-    for distinct centers even at ridge 0, and the result is the minimum-norm
-    interpolant, independent of training-row order.
+    phi(r) = r is conditionally positive definite of order 1, so the saddle
+    system [[Phi, 1], [1', 0]] is nonsingular for distinct centers (Micchelli
+    1986), whatever the number of rows. It is solved by one LU and one step
+    of iterative refinement against the assembled matrix. Duplicate
+    normalized rows (also rows that differ only in a dead feature) make it
+    singular and raise TrainingError.
     """
-    if width <= 0:
-        raise ParameterError("width must be positive")
-    if ridge < 0:
-        raise ParameterError("ridge must be >= 0")
     x = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
     norm = fit_normalizer(x)
     xn = norm.transform(x)
-    phi = _kernel(xn, xn, width)
-    a = np.column_stack([phi, np.ones(xn.shape[0])])
-    gram = a @ a.T + ridge * np.eye(a.shape[0])
-    try:
-        cho = sla.cho_factor(gram)
-        beta = sla.cho_solve(cho, y)
-    except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
-        raise TrainingError(
-            f"interpolation system not positive definite (ridge={ridge}): {exc}"
-        ) from exc
-    w = a.T @ beta
+    c = xn.shape[0]
+    if np.unique(xn, axis=0).shape[0] < c:
+        raise TrainingError("duplicate normalized training rows: interpolation system singular")
+    a = np.zeros((c + 1, c + 1))
+    a[:c, :c] = _kernel(xn, xn)
+    a[:c, c] = a[c, :c] = 1.0
+    rhs = np.append(y, 0.0)
+    lu = sla.lu_factor(a, check_finite=False)
+    w = sla.lu_solve(lu, rhs, check_finite=False)
+    w += sla.lu_solve(lu, rhs - a @ w, check_finite=False)
     if not np.all(np.isfinite(w)):
-        raise TrainingError("non-finite output weights; increase ridge")
-    return RbfModel(centers=xn, width=width, ridge=ridge, weights=w, normalizer=norm)
+        raise TrainingError("non-finite output weights")
+    return RbfModel(centers=xn, weights=w, normalizer=norm)
 
 
 def predict(model: RbfModel, features: np.ndarray) -> np.ndarray:
     xn = model.normalizer.transform(features)
-    phi = _kernel(xn, model.centers, model.width)
-    return phi @ model.weights[:-1] + model.weights[-1]
+    return _kernel(xn, model.centers) @ model.weights[:-1] + model.weights[-1]
 
 
 @dataclass(frozen=True)
@@ -243,9 +236,7 @@ def coefficient_stats(values: np.ndarray) -> BoxStats:
 def save_model(model: RbfModel, path) -> None:
     """Versioned plain-text dump; floats round-trip bit-exactly."""
     lines = [
-        "rbfmodel v1",
-        f"width {fmt(model.width)}",
-        f"ridge {fmt(model.ridge)}",
+        "rbfmodel v2",
         f"shape {model.centers.shape[0]} {model.centers.shape[1]}",
         "norm_lo " + " ".join(fmt(v) for v in model.normalizer.lo),
         "norm_hi " + " ".join(fmt(v) for v in model.normalizer.hi),
@@ -254,32 +245,6 @@ def save_model(model: RbfModel, path) -> None:
         lines.append("center " + " ".join(fmt(v) for v in row))
     lines.append("weights " + " ".join(fmt(v) for v in model.weights))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def load_model(path) -> RbfModel:
-    lines = Path(path).read_text().strip("\n").split("\n")
-    if lines[0] != "rbfmodel v1":
-        raise ParameterError(f"unrecognized model file header {lines[0]!r}")
-    fields = {}
-    centers = []
-    for line in lines[1:]:
-        key, _, rest = line.partition(" ")
-        if key == "center":
-            centers.append([float(v) for v in rest.split()])
-        else:
-            fields[key] = rest
-    n_c, n_f = (int(v) for v in fields["shape"].split())
-    centers = np.array(centers, dtype=float).reshape(n_c, n_f)
-    return RbfModel(
-        centers=centers,
-        width=float(fields["width"]),
-        ridge=float(fields["ridge"]),
-        weights=np.array([float(v) for v in fields["weights"].split()]),
-        normalizer=Normalizer(
-            lo=np.array([float(v) for v in fields["norm_lo"].split()]),
-            hi=np.array([float(v) for v in fields["norm_hi"].split()]),
-        ),
-    )
 
 
 def write_report_csv(report: EvalReport, path) -> None:

@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import time
 from collections import deque
@@ -167,10 +168,8 @@ class MeshLevels:
 
 @dataclass(frozen=True)
 class LearnSpec:
-    """RBF hyperparameters and the seeded 68/30 split."""
+    """The seeded 68/30 split of the learning stage."""
 
-    width: float = 1.0
-    ridge: float = 1.0e-10
     split_seed: int = 0
     train_size: int = 68
     test_size: int = 30
@@ -256,10 +255,11 @@ def save_config(cfg: StudyConfig, path) -> None:
 def config_hash(cfg: StudyConfig) -> str:
     """Canonical digest of the config and the BLAS thread setting; sweeps
     resume only when both are identical, because the banded Cholesky factor's
-    last bits depend on the BLAS thread count. out_dir is left out: it changes
-    no result, so a copied output directory resumes."""
+    last bits depend on the BLAS thread count. out_dir and learn are left
+    out: neither changes a solved model, so a copied output directory resumes
+    and a new learn split re-solves nothing."""
     config = config_to_dict(cfg)
-    del config["out_dir"]
+    del config["out_dir"], config["learn"]
     doc = {
         "config": config,
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
@@ -395,22 +395,34 @@ def run_model(
 # manifest
 
 
+def _is_finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)  # a bool is no number here
+
+
 def _check_entry(path: Path, mid: str, entry) -> None:
     """ArtifactError naming the model unless the entry holds what the
-    readers index: a status, and for an ok entry its dataset row and
-    artifact paths."""
+    readers index: a status, and for an ok entry its dataset row as finite
+    numbers and its artifact paths as strings."""
     if not isinstance(entry, dict) or "status" not in entry:
         raise ArtifactError(f"manifest {path}: entry {mid} is not an object with a status")
     if entry["status"] != "ok":
         return
-    lacking = [key for key in ("fit_rmse_rel", "t_max_c", "x_max_m") if key not in entry]
+    bad = [
+        key for key in ("fit_rmse_rel", "t_max_c", "x_max_m")
+        if not _is_finite_number(entry.get(key))
+    ]
     sig = entry.get("signature")
-    if not isinstance(sig, dict) or any(name not in sig for name in FEATURE_NAMES):
-        lacking.append("signature")
-    if not isinstance(entry.get("artifacts"), dict):
-        lacking.append("artifacts")
-    if lacking:
-        raise ArtifactError(f"manifest {path}: ok entry {mid} lacks {', '.join(lacking)}")
+    if not isinstance(sig, dict) or not all(_is_finite_number(sig.get(f)) for f in FEATURE_NAMES):
+        bad.append("signature")
+    arts = entry.get("artifacts")
+    if not isinstance(arts, dict) or not all(
+        isinstance(arts.get(kind), str) for kind in MODEL_ARTIFACTS
+    ):
+        bad.append("artifacts")
+    if bad:
+        raise ArtifactError(
+            f"manifest {path}: ok entry {mid} lacks {', '.join(bad)} (missing or mistyped)"
+        )
 
 
 class RunManifest:
@@ -497,7 +509,7 @@ class RunManifest:
             return False
         arts = self.models[mid]["artifacts"]
         return all(
-            kind in arts and (Path(out_dir) / arts[kind]).exists()
+            (Path(out_dir) / arts[kind]).exists()
             for kind in MODEL_ARTIFACTS
         )
 
@@ -822,7 +834,7 @@ def run_learning(
     split = split_dataset(dataset, seed, cfg.learn.train_size, cfg.learn.test_size)
     x_train, y_train = split.rows(TRAIN)
     x_test, y_test = split.rows(TEST)
-    model = train_rbf(x_train, y_train, width=cfg.learn.width, ridge=cfg.learn.ridge)
+    model = train_rbf(x_train, y_train)
     train_report = evaluate(model, x_train, y_train)
     test_report = evaluate(model, x_test, y_test)
     corr = rank_correlation(predict(model, x_test), y_test)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tactherm.errors import DatasetSizeError, ParameterError, TrainingError
+from tactherm.errors import DatasetSizeError, TrainingError
 from tactherm.learn import (
     TEST,
     TRAIN,
@@ -16,7 +16,6 @@ from tactherm.learn import (
     eval_report,
     evaluate,
     fit_normalizer,
-    load_model,
     predict,
     rank_correlation,
     save_model,
@@ -102,19 +101,16 @@ def test_single_center_interpolates():
 
 def test_two_point_kernel_matrix():
     x = np.array([[0.0], [1.0]])
-    model = train_rbf(x, np.array([5.0, 9.0]), width=1.0, ridge=0.0)
-    # normalized coordinates are -1 and +1: off-diagonal exp(-(2/1)^2)
-    xn = model.centers
-    np.testing.assert_allclose(xn.ravel(), [-1.0, 1.0])
-    d = abs(xn[0, 0] - xn[1, 0])
-    expect_offdiag = math.exp(-(d**2))
+    model = train_rbf(x, np.array([5.0, 9.0]))
+    # normalized centers are -1 and +1, so Phi = [[0, 2], [2, 0]] and the
+    # interpolant w1 |x + 1| + w2 |x - 1| + wC with w1 + w2 = 0 is (1, -1, 7)
+    np.testing.assert_array_equal(model.centers.ravel(), [-1.0, 1.0])
     from tactherm.learn import _kernel
 
-    phi = _kernel(xn, xn, 1.0)
-    np.testing.assert_allclose(np.diag(phi), 1.0)
-    assert phi[0, 1] == pytest.approx(expect_offdiag, rel=1e-12)
-    p = predict(model, x)
-    np.testing.assert_allclose(p, [5.0, 9.0], atol=1e-10)
+    np.testing.assert_array_equal(_kernel(model.centers, model.centers), [[0.0, 2.0], [2.0, 0.0]])
+    np.testing.assert_allclose(model.weights, [1.0, -1.0, 7.0], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(predict(model, x), [5.0, 9.0], rtol=0, atol=1e-14)
+    assert predict(model, np.array([[0.5]]))[0] == pytest.approx(7.0, abs=1e-14)
 
 
 def test_training_interpolates_random_data():
@@ -137,24 +133,30 @@ def test_prediction_permutation_invariant():
     np.testing.assert_allclose(shuffled, base, atol=1e-8)
 
 
-def test_duplicate_centers_without_ridge_fail():
+def test_duplicate_normalized_rows_fail():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(10, 3))
     x[5] = x[2]
     y = rng.normal(size=10)
     with pytest.raises(TrainingError):
-        train_rbf(x, y, ridge=0.0)
-    # ridge rescues solvability (though centers stay degenerate)
-    model = train_rbf(x, y, ridge=1e-8)
-    assert np.all(np.isfinite(model.weights))
+        train_rbf(x, y)
+    # rows that differ only in a dead (roundoff-span) feature coincide too
+    dead = np.column_stack([rng.uniform(0.0, 1.0, 10), rng.uniform(-1e-14, 1e-14, 10)])
+    dead[7, 0] = dead[3, 0]
+    assert dead[7, 1] != dead[3, 1]
+    with pytest.raises(TrainingError):
+        train_rbf(dead, y)
 
 
-def test_invalid_hyperparameters():
-    x, y = np.zeros((3, 2)), np.zeros(3)
-    with pytest.raises(ParameterError):
-        train_rbf(x, y, width=0.0)
-    with pytest.raises(ParameterError):
-        train_rbf(x, y, ridge=-1.0)
+def test_three_rows_with_six_live_features_interpolate():
+    # fewer rows than a linear tail would need: the constant tail still solves
+    rng = np.random.default_rng(19)
+    x = rng.uniform(-2.0, 2.0, size=(3, 10))
+    x[:, 6:] = 0.25  # four dead features, as b1..b4 on symmetric meshes
+    y = np.array([3.0, 4.0, 5.0])
+    model = train_rbf(x, y)
+    np.testing.assert_allclose(predict(model, x), y, rtol=0, atol=1e-12)
+    assert model.weights[:-1].sum() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eval_report_hand_values():
@@ -232,23 +234,32 @@ def test_rank_correlation_of_a_constant_is_nan():
     assert math.isnan(rank_correlation(a, flat))
 
 
-def test_model_roundtrip_bit_exact(tmp_path):
+def test_model_file_is_bit_exact(tmp_path):
     rng = np.random.default_rng(31)
     x = rng.uniform(-1.5, 1.5, size=(20, 10))
     y = rng.uniform(3.0, 100.0, size=20)
     model = train_rbf(x, y)
-    p1 = tmp_path / "m1.txt"
-    p2 = tmp_path / "m2.txt"
-    save_model(model, p1)
-    loaded = load_model(p1)
-    save_model(loaded, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    probe = rng.uniform(-1.5, 1.5, size=(5, 10))
-    np.testing.assert_array_equal(predict(model, probe), predict(loaded, probe))
-    with pytest.raises(ParameterError):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("something else\n")
-        load_model(bad)
+    path = tmp_path / "m.txt"
+    save_model(model, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "rbfmodel v2"
+    assert lines[1] == "shape 20 10"
+    fields = {"center": []}
+    for line in lines[2:]:
+        key, *values = line.split(" ")
+        floats = [float(v) for v in values]
+        if key == "center":
+            fields["center"].append(floats)
+        else:
+            fields[key] = floats
+    assert sorted(fields) == ["center", "norm_hi", "norm_lo", "weights"]
+    for key, expect in (
+        ("norm_lo", model.normalizer.lo),
+        ("norm_hi", model.normalizer.hi),
+        ("center", model.centers),
+        ("weights", model.weights),
+    ):
+        np.testing.assert_array_equal(np.array(fields[key]), expect)
 
 
 def test_report_outputs(tmp_path):

