@@ -162,7 +162,11 @@ def _cmd_mesh(cfg, args) -> int:
 
 def _cmd_solve(cfg, args) -> int:
     family = _family(args.family)
-    result = run_model(cfg, family, args.n, level=args.level, ambient_c=args.ambient)
+    if args.ambient is not None:
+        cfg = dataclasses.replace(
+            cfg, thermal=dataclasses.replace(cfg.thermal, t_ambient=args.ambient)
+        )
+    result = run_model(cfg, family, args.n, level=args.level)
     sig = result.signature
     print(f"{result.model_id}: {result.elements} tets, wall {result.wall_time:.2f} s")
     print(f"  T_max {result.t_max_c:.4f} C at x = {result.x_max_m * 1e3:.1f} mm")
@@ -170,10 +174,7 @@ def _cmd_solve(cfg, args) -> int:
           f"b {tuple(round(v, 6) for v in sig.b)}, w {sig.w:.4f} rad/m, "
           f"fit rmse {sig.fit_rmse_rel:.2e}")
     if args.energy:
-        thermal = cfg.thermal
-        if args.ambient is not None:
-            thermal = dataclasses.replace(thermal, t_ambient=args.ambient)
-        bal = energy_balance(result.field, thermal)
+        bal = energy_balance(result.field, cfg.thermal)
         print(f"  energy: generated {bal.generated_w:.6f} W, "
               f"out(top) {bal.outflow_top_w:.6f} W, out(bottom) {bal.outflow_bottom_w:.6f} W, "
               f"residual {bal.residual_rel:.2e}")

@@ -59,21 +59,9 @@ class TumorShape:
     prism_height: float = 8.0  # mm
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ParameterError(f"n must be >= 3, got {self.n}")
-        if self.base_area <= 0:
-            raise ParameterError("base_area must be positive")
         if self.top_depth <= 0 or self.prism_height <= 0:
             raise ParameterError("top_depth and prism_height must be positive")
-        if self.family is ShapeFamily.STAR_POLYGON:
-            if self.inner_radius <= 0:
-                raise ParameterError("inner_radius must be positive")
-            min_area = self.n * self.inner_radius**2 * math.sin(math.pi / self.n)
-            if self.base_area < min_area * (1.0 - 1e-12):
-                raise ParameterError(
-                    f"star base_area {self.base_area} infeasible: outer radius would "
-                    f"drop below inner radius (minimum area {min_area:.6g})"
-                )
+        self.base_polygon()  # the polygon builders check n, area and radius
 
     def base_polygon(self) -> "Polygon2D":
         """Construct the base polygon, centered at the origin."""

@@ -247,18 +247,12 @@ def _boundary_faces(corners, ii, jj, kk, ncx, ncy, ncz):
 
 @dataclass(frozen=True)
 class QualityReport:
-    n_nodes: int
-    n_tets: int
-    total_volume: float  # mm^3
-    min_volume: float  # mm^3
     min_dihedral_deg: float
-    mean_dihedral_deg: float
     max_aspect: float
-    aspect_histogram: tuple  # counts in bins [1,1.5), [1.5,2), [2,3), [3,5), [5,inf)
 
 
 def mesh_quality(mesh: TetMesh) -> QualityReport:
-    """Volume, dihedral-angle, and aspect-ratio summary."""
+    """Smallest dihedral angle and largest aspect ratio of the tets."""
     vols = mesh.tet_volumes()
     p = mesh.nodes[mesh.tets]
 
@@ -284,17 +278,9 @@ def mesh_quality(mesh: TetMesh) -> QualityReport:
     longest = elen.max(axis=0)
     r_in = 3.0 * vols / areas.sum(axis=1)
     aspect = longest / (2.0 * np.sqrt(6.0) * r_in)
-    hist, _ = np.histogram(aspect, bins=[1.0, 1.5, 2.0, 3.0, 5.0, np.inf])
-
     return QualityReport(
-        n_nodes=mesh.n_nodes,
-        n_tets=mesh.n_tets,
-        total_volume=float(vols.sum()),
-        min_volume=float(vols.min()),
         min_dihedral_deg=float(dihedrals.min()),
-        mean_dihedral_deg=float(dihedrals.mean()),
         max_aspect=float(aspect.max()),
-        aspect_histogram=tuple(int(c) for c in hist),
     )
 
 

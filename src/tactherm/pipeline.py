@@ -108,6 +108,7 @@ MODEL_ARTIFACTS = ("profile", "section")
 # and once more at the end; each rewrite holds every entry so far
 MANIFEST_SAVE_INTERVAL_S = 1.0
 PROFILE_COLUMNS = ["x_m", "t_c"]
+DATASET_COLUMNS = ["model_id", "family", "n", *FEATURE_NAMES, "fit_rmse_rel", "t_max_c", "x_max_m"]
 SECTION_COLUMNS = ["x_mm", "z_mm", "t_c"]
 
 
@@ -336,7 +337,6 @@ def run_model(
     n: int,
     *,
     level: int | None = None,
-    ambient_c: float | None = None,
 ) -> ModelResult:
     """geometry -> mesh -> elastic -> deform -> heat -> profile -> signature.
 
@@ -344,16 +344,13 @@ def run_model(
     profile and the element and node counts are those of the whole block.
     """
     t0 = time.perf_counter()
-    thermal = cfg.thermal
-    if ambient_c is not None:
-        thermal = dataclasses.replace(thermal, t_ambient=float(ambient_c))
     geom = place_prism(tumor_shape(cfg, family, n), cfg.tissue)
     mesh = build_mesh(geom, refinement_spec(cfg, family, level))
     t_mesh = time.perf_counter()
     u, elastic_stats = solve_elastic(mesh, cfg.elastic)
     moved = deform_mesh(mesh, u)
     t_elastic = time.perf_counter()
-    field, heat_stats = solve_heat(moved, thermal, method="direct")
+    field, heat_stats = solve_heat(moved, cfg.thermal, method="direct")
     t_heat = time.perf_counter()
     profile = extract_profile(
         field,
@@ -527,14 +524,6 @@ class SweepResult:
     failed: tuple  # (model id, message) pairs
 
 
-def _dataset_header() -> list:
-    return (
-        ["model_id", "family", "n"]
-        + list(FEATURE_NAMES)
-        + ["fit_rmse_rel", "t_max_c", "x_max_m"]
-    )
-
-
 def _solve_job(args) -> ModelResult:
     cfg, family, n = args
     return run_model(cfg, family, n)
@@ -634,75 +623,62 @@ def run_sweep(
     results = []
     for family in families:
         skipped = tuple(model_id(family, n) for n in orders if (family, n) not in pending)
-        dataset, csv_path = _write_dataset(cfg, family, manifest)
+        dataset, rows = _dataset(cfg, family, manifest)
+        csv_path = out_dir / f"dataset_{family.value}.csv"
+        write_csv(csv_path, DATASET_COLUMNS, rows)
         results.append(
             SweepResult(dataset, csv_path, tuple(solved[family]), skipped, tuple(failed[family]))
         )
     return tuple(results)
 
 
-def _write_dataset(
+def _dataset(
     cfg: StudyConfig, family: ShapeFamily, manifest: RunManifest
-) -> tuple[Dataset, Path]:
-    """The family's dataset CSV, rebuilt from the manifest in n order."""
+) -> tuple[Dataset, list]:
+    """The family's ok manifest entries in n order: as a Dataset, and as the
+    DATASET_COLUMNS rows of its dataset CSV."""
     rows = []
-    feats, targets = [], []
     for n in cfg.sweep.values():
-        entry = manifest.models.get(model_id(family, n))
-        if not entry or entry.get("status") != "ok":
-            continue
-        sig = entry["signature"]
-        vec = [sig[name] for name in FEATURE_NAMES]
-        rows.append(
-            [model_id(family, n), family.value, n]
-            + vec
-            + [entry["fit_rmse_rel"], entry["t_max_c"], entry["x_max_m"]]
-        )
-        feats.append(vec)
-        targets.append(float(n))
-
-    csv_path = Path(cfg.out_dir) / f"dataset_{family.value}.csv"
-    write_csv(csv_path, _dataset_header(), rows)
+        mid = model_id(family, n)
+        if manifest.completed(mid):
+            entry = manifest.models[mid]
+            rows.append(
+                [mid, family.value, n]
+                + [entry["signature"][name] for name in FEATURE_NAMES]
+                + [entry["fit_rmse_rel"], entry["t_max_c"], entry["x_max_m"]]
+            )
+    width = len(FEATURE_NAMES)
     dataset = Dataset(
-        np.array(feats, dtype=float).reshape(len(feats), len(FEATURE_NAMES)),
-        np.array(targets, dtype=float),
+        np.array([row[3:3 + width] for row in rows], dtype=float).reshape(len(rows), width),
+        np.array([row[2] for row in rows], dtype=float),
         family=family.value,
     )
-    return dataset, csv_path
+    return dataset, rows
+
+
+def _complete_manifest(cfg: StudyConfig, families) -> RunManifest:
+    """The manifest of a finished sweep, for the readers that cannot re-solve.
+
+    ArtifactError when it was written under another config or BLAS thread
+    setting, or when a model of the families is not ok with its artifact
+    files on disk; the error's `missing` lists those models.
+    """
+    out_dir = Path(cfg.out_dir)
+    manifest = RunManifest.load(out_dir / "manifest.json", config_hash(cfg), strict=True)
+    ids = [model_id(family, n) for family in families for n in cfg.sweep.values()]
+    missing = [mid for mid in ids if not manifest.has_artifacts(mid, out_dir)]
+    if missing:
+        raise ArtifactError(
+            f"sweep incomplete: {len(missing)} models not completed with artifacts: "
+            f"{', '.join(missing[:5])}{', ...' if len(missing) > 5 else ''}",
+            missing=missing,
+        )
+    return manifest
 
 
 def load_dataset(cfg: StudyConfig, family: ShapeFamily) -> Dataset:
-    """Rebuild a Dataset from a sweep CSV; errors name what is missing."""
-    csv_path = Path(cfg.out_dir) / f"dataset_{family.value}.csv"
-    if not csv_path.exists():
-        raise ArtifactError(f"dataset not found: {csv_path}", missing=[str(csv_path)])
-    header, rows = read_csv(csv_path)
-    if header != _dataset_header():
-        raise ArtifactError(f"unexpected dataset header in {csv_path}")
-    want = {model_id(family, n): n for n in cfg.sweep.values()}
-    feats, targets, seen = [], [], set()
-    cols = {name: header.index(name) for name in FEATURE_NAMES}
-    for lineno, row in enumerate(rows, start=2):
-        try:
-            if len(row) != len(header):
-                raise ValueError(f"{len(row)} fields, expected {len(header)}")
-            feats.append([float(row[cols[name]]) for name in FEATURE_NAMES])
-            targets.append(float(row[2]))
-        except ValueError as exc:
-            raise ArtifactError(f"malformed row {lineno} in {csv_path}: {exc}") from exc
-        seen.add(row[0])
-    missing = sorted(set(want) - seen)
-    if missing:
-        raise ArtifactError(
-            f"dataset {csv_path} is incomplete: missing {len(missing)} models "
-            f"({', '.join(missing[:5])}{', ...' if len(missing) > 5 else ''})",
-            missing=missing,
-        )
-    return Dataset(
-        np.array(feats, dtype=float),
-        np.array(targets, dtype=float),
-        family=family.value,
-    )
+    """The family's dataset, rebuilt from the manifest of its finished sweep."""
+    return _dataset(cfg, family, _complete_manifest(cfg, (family,)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +780,8 @@ def calibrate_ambient(cfg: StudyConfig, target_c: float = 29.7) -> float:
     a0 = cfg.thermal.t_ambient
     a1 = a0 - 2.0
     t0 = run_model(cfg, family, n).t_max_c
-    t1 = run_model(cfg, family, n, ambient_c=a1).t_max_c
+    shifted = dataclasses.replace(cfg, thermal=dataclasses.replace(cfg.thermal, t_ambient=a1))
+    t1 = run_model(shifted, family, n).t_max_c
     slope = (t1 - t0) / (a1 - a0)
     if abs(slope) < 1e-12:
         raise ParameterError("T_max does not respond to ambient temperature")
@@ -901,27 +878,12 @@ def make_figures(cfg: StudyConfig) -> tuple:
     fig_dir = out_dir / "figures"
     orders = cfg.sweep.values()
 
-    manifest = RunManifest.load(out_dir / "manifest.json", config_hash(cfg), strict=True)
-    missing = [
-        model_id(family, n)
-        for family in families
-        for n in orders
-        if not manifest.has_artifacts(model_id(family, n), out_dir)
-    ]
-    if missing:
-        raise ArtifactError(
-            f"sweep incomplete: {len(missing)} models not completed with artifacts: "
-            f"{', '.join(missing[:5])}{', ...' if len(missing) > 5 else ''}",
-            missing=missing,
-        )
-
+    manifest = _complete_manifest(cfg, families)
     documents = {}  # relative name -> text
 
     for family in families:
-        entries = [manifest.models[model_id(family, n)] for n in orders]
-
         # --- T_max vs n
-        ts = [entry["t_max_c"] for entry in entries]
+        ts = [manifest.models[model_id(family, n)]["t_max_c"] for n in orders]
         name = f"fig_tmax_{family.value}"
         documents[f"{name}.csv"] = csv_text(["n", "t_max_c"], list(zip(orders, ts)))
         documents[f"{name}.svg"] = svgplot.line_chart(
@@ -958,7 +920,7 @@ def make_figures(cfg: StudyConfig) -> tuple:
         )
 
         # --- normalized-coefficient box plot
-        feats = np.array([[entry["signature"][f] for f in FEATURE_NAMES] for entry in entries])
+        feats = _dataset(cfg, family, manifest)[0].features
         normalized = fit_normalizer(feats).transform(feats)
         boxes, box_rows = [], []
         for j, fname in enumerate(FEATURE_NAMES):

@@ -85,6 +85,8 @@ def test_invalid_parameters_raise():
     with pytest.raises(ParameterError):
         TumorShape(ShapeFamily.REGULAR_POLYGON, n=2)
     with pytest.raises(ParameterError):
+        TumorShape(ShapeFamily.STAR_POLYGON, n=5, base_area=10.0)
+    with pytest.raises(ParameterError):
         TissueDims(x_len=0.0)
     with pytest.raises(ParameterError):
         Polygon2D(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, -1.0]]))  # clockwise

@@ -289,15 +289,17 @@ def test_interrupted_sweep_records_finished_models(tmp_path, monkeypatch):
     assert resumed.solved == tuple(model_id(POLY, n) for n in (6, 7, 8))
 
 
-def test_malformed_dataset_row_raises_artifact_error(tmp_path):
+def test_load_dataset_reads_the_manifest_of_this_config(tmp_path):
     cfg = tiny_config(tmp_path / "out")
     (sweep,) = run_sweep(cfg, (POLY,))
-    csv_path = sweep.csv_path
-    lines = csv_path.read_text().splitlines()
-    for bad_row in (lines[2].replace(",", ",oops,", 1), lines[2].rsplit(",", 3)[0]):
-        csv_path.write_text("\n".join(lines[:2] + [bad_row] + lines[3:]) + "\n")
-        with pytest.raises(ArtifactError, match="malformed row 3"):
-            load_dataset(cfg, POLY)
+    hotter = dataclasses.replace(
+        cfg, thermal=dataclasses.replace(cfg.thermal, q_tumor=2.0e5)
+    )
+    with pytest.raises(ArtifactError, match="another config"):
+        load_dataset(hotter, POLY)
+    # the split is not part of a solved model: the same rows load
+    resplit = dataclasses.replace(cfg, learn=dataclasses.replace(cfg.learn, split_seed=7))
+    assert np.array_equal(load_dataset(resplit, POLY).features, sweep.dataset.features)
 
 
 def test_config_change_invalidates_resume(tmp_path):
@@ -362,7 +364,10 @@ def test_mesh_study_needs_two_levels(tmp_path):
 def test_calibrate_ambient_hits_target_exactly(tmp_path):
     cfg = tiny_config(tmp_path / "out")
     ambient = calibrate_ambient(cfg, target_c=29.0)
-    check = run_model(cfg, POLY, 3, ambient_c=ambient)
+    calibrated = dataclasses.replace(
+        cfg, thermal=dataclasses.replace(cfg.thermal, t_ambient=ambient)
+    )
+    check = run_model(calibrated, POLY, 3)
     assert check.t_max_c == pytest.approx(29.0, abs=1e-9)
 
 
