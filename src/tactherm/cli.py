@@ -82,33 +82,33 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("geometry", help="emit a tumor base polygon as CSV")
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", required=True, type=_family)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--csv", type=Path, help="output path (default <out>/polygon.csv)")
 
     p = sub.add_parser("mesh", help="build a model mesh and report quality")
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", required=True, type=_family)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--level", type=int, default=None, help="refinement ladder index")
     p.add_argument("--text", type=Path, help="also export the solved half mesh as text")
 
     p = sub.add_parser("solve", help="run a single model end to end")
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", required=True, type=_family)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--ambient", type=float, default=None, help="override t_ambient")
     p.add_argument("--energy", action="store_true", help="also report energy balance")
 
     p = sub.add_parser("sweep", help="run the full shape sweep for one family")
-    p.add_argument("--family", required=True, choices=["polygon", "star"])
+    p.add_argument("--family", required=True, type=_family)
     p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("mesh-study", help="refinement-ladder independence study")
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", required=True, type=_family)
     p.add_argument("--n", type=int, default=10)
 
     p = sub.add_parser("learn", help="train/evaluate the RBF on a sweep dataset")
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", required=True, type=_family)
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("calibrate", help="solve for the ambient matching a target T_max")
@@ -131,25 +131,24 @@ def _load(args) -> StudyConfig:
 
 
 def _cmd_geometry(cfg, args) -> int:
-    shape = tumor_shape(cfg, _family(args.family), args.n)
+    shape = tumor_shape(cfg, args.family, args.n)
     poly = shape.base_polygon()
     path = args.csv or Path(cfg.out_dir) / "polygon.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
     write_polygon_csv(poly, path)
-    print(f"{args.family} n={args.n}: {len(poly.vertices)} vertices, "
+    print(f"{args.family.value} n={args.n}: {len(poly.vertices)} vertices, "
           f"area {poly.area:.6f} mm^2 -> {path}")
     return EXIT_OK
 
 
 def _cmd_mesh(cfg, args) -> int:
-    family = _family(args.family)
-    geom = place_prism(tumor_shape(cfg, family, args.n), cfg.tissue)
-    mesh = build_mesh(geom, refinement_spec(cfg, family, args.level))
+    geom = place_prism(tumor_shape(cfg, args.family, args.n), cfg.tissue)
+    mesh = build_mesh(geom, refinement_spec(cfg, args.family, args.level))
     q = mesh_quality(mesh)
     # the mesh is the x <= c half; the block is it and its mirror image
     tumor_mm3 = 2.0 * float(mesh.tet_volumes() @ mesh.tumor_frac)
     tets, nodes = mesh.block_counts()
-    print(f"{model_id(family, args.n)}: {tets} tets, {nodes} nodes "
+    print(f"{model_id(args.family, args.n)}: {tets} tets, {nodes} nodes "
           f"(solved half: {mesh.n_tets} tets, {mesh.n_nodes} nodes)")
     print(f"  min dihedral {q.min_dihedral_deg:.2f} deg, "
           f"max aspect {q.max_aspect:.2f}, tumor volume {tumor_mm3:.2f} mm^3")
@@ -161,12 +160,11 @@ def _cmd_mesh(cfg, args) -> int:
 
 
 def _cmd_solve(cfg, args) -> int:
-    family = _family(args.family)
     if args.ambient is not None:
         cfg = dataclasses.replace(
             cfg, thermal=dataclasses.replace(cfg.thermal, t_ambient=args.ambient)
         )
-    result = run_model(cfg, family, args.n, level=args.level)
+    result = run_model(cfg, args.family, args.n, level=args.level)
     sig = result.signature
     print(f"{result.model_id}: {result.elements} tets, wall {result.wall_time:.2f} s")
     print(f"  T_max {result.t_max_c:.4f} C at x = {result.x_max_m * 1e3:.1f} mm")
@@ -182,9 +180,8 @@ def _cmd_solve(cfg, args) -> int:
 
 
 def _cmd_sweep(cfg, args) -> int:
-    family = _family(args.family)
-    (result,) = run_sweep(cfg, (family,), workers=args.workers)
-    print(f"sweep {family.value}: {len(result.solved)} solved, "
+    (result,) = run_sweep(cfg, (args.family,), workers=args.workers)
+    print(f"sweep {args.family.value}: {len(result.solved)} solved, "
           f"{len(result.skipped)} resumed, {len(result.failed)} failed "
           f"-> {result.csv_path}")
     for mid, message in result.failed:
@@ -193,9 +190,8 @@ def _cmd_sweep(cfg, args) -> int:
 
 
 def _cmd_mesh_study(cfg, args) -> int:
-    family = _family(args.family)
-    report = mesh_study(cfg, family, args.n)
-    print(f"mesh study {family.value} n={args.n}:")
+    report = mesh_study(cfg, args.family, args.n)
+    print(f"mesh study {args.family.value} n={args.n}:")
     for i, (spec, elems, tmax, wall) in enumerate(
         zip(report.levels, report.elements, report.t_max_c, report.wall_times)
     ):
@@ -208,11 +204,10 @@ def _cmd_mesh_study(cfg, args) -> int:
 
 
 def _cmd_learn(cfg, args) -> int:
-    family = _family(args.family)
-    dataset = load_dataset(cfg, family)
+    dataset = load_dataset(cfg, args.family)
     result = run_learning(dataset, cfg, seed=args.seed)
     tr, te = result.train_report, result.test_report
-    print(f"learn {family.value} (seed {result.seed}): "
+    print(f"learn {args.family.value} (seed {result.seed}): "
           f"train rmse {tr.rmse:.3e}, test rmse {te.rmse:.3e}, "
           f"test rounded accuracy {te.rounded_accuracy:.4f}, "
           f"rank corr {result.test_rank_corr:.4f}")

@@ -109,7 +109,6 @@ class GeometrySpec:
     """
 
     dims: TissueDims
-    shape: TumorShape
     base_polygon: Polygon2D
     center: tuple[float, float]
     z_lo: float
@@ -201,9 +200,7 @@ def place_prism(shape: TumorShape, dims: TissueDims) -> GeometrySpec:
         )
     z_hi = dims.z_len - shape.top_depth
     z_lo = z_hi - shape.prism_height
-    return GeometrySpec(
-        dims=dims, shape=shape, base_polygon=poly, center=(cx, cy), z_lo=z_lo, z_hi=z_hi
-    )
+    return GeometrySpec(dims=dims, base_polygon=poly, center=(cx, cy), z_lo=z_lo, z_hi=z_hi)
 
 
 def grid_cell_areas(poly: Polygon2D, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from .errors import ArtifactError, ParameterError
 from .fem import (
     ElasticParams,
     ScalarField,
+    SolveStats,
     ThermalParams,
     deform_mesh,
     solve_elastic,
@@ -62,6 +63,7 @@ from .mesh import FaceTag, RefinementSpec, build_mesh
 from .signature import (
     PROFILE_SAMPLES,
     FourierSignature,
+    SurfaceProfile,
     extract_profile,
     fit_fourier4,
     max_surface_temp,
@@ -322,13 +324,10 @@ class ModelResult:
     nodes: int
     wall_time: float
     stage_s: dict  # seconds per stage: mesh, elastic (with deform), heat, profile_fit
-    elastic_residual: float  # relative residuals of the two linear solves
-    heat_residual: float
-    elastic_n_free: int  # size and upper bandwidth of the reduced elastic system
-    elastic_band: int
+    elastic: SolveStats
+    heat: SolveStats
     field: ScalarField
-    profile_x_m: np.ndarray
-    profile_t_c: np.ndarray
+    profile: SurfaceProfile
 
 
 def run_model(
@@ -347,10 +346,10 @@ def run_model(
     geom = place_prism(tumor_shape(cfg, family, n), cfg.tissue)
     mesh = build_mesh(geom, refinement_spec(cfg, family, level))
     t_mesh = time.perf_counter()
-    u, elastic_stats = solve_elastic(mesh, cfg.elastic)
+    u, elastic = solve_elastic(mesh, cfg.elastic)
     moved = deform_mesh(mesh, u)
     t_elastic = time.perf_counter()
-    field, heat_stats = solve_heat(moved, cfg.thermal, method="direct")
+    field, heat = solve_heat(moved, cfg.thermal, method="direct")
     t_heat = time.perf_counter()
     profile = extract_profile(
         field,
@@ -378,13 +377,10 @@ def run_model(
             "heat": t_heat - t_elastic,
             "profile_fit": t_end - t_heat,
         },
-        elastic_residual=elastic_stats.final_residual,
-        heat_residual=heat_stats.final_residual,
-        elastic_n_free=elastic_stats.n_free,
-        elastic_band=elastic_stats.band,
+        elastic=elastic,
+        heat=heat,
         field=field,
-        profile_x_m=profile.positions,
-        profile_t_c=profile.temps,
+        profile=profile,
     )
 
 
@@ -428,8 +424,8 @@ class RunManifest:
     Each completed model records its signature row and artifact paths, so a
     dataset can be rebuilt without re-solving and interrupted sweeps resume
     where they stopped. A config-hash mismatch invalidates all entries.
-    Each entry also keeps the model's stage timings, solver residuals and
-    the size and bandwidth of its reduced elastic system.
+    Each entry also keeps the model's stage timings and the SolveStats of
+    its elastic and heat solves.
     """
 
     def __init__(self, path, cfg_hash: str, models: dict | None = None):
@@ -481,10 +477,8 @@ class RunManifest:
             "nodes": result.nodes,
             "wall_time": result.wall_time,
             "stage_s": result.stage_s,
-            "elastic_residual": result.elastic_residual,
-            "heat_residual": result.heat_residual,
-            "elastic_n_free": result.elastic_n_free,
-            "elastic_band": result.elastic_band,
+            "elastic": dataclasses.asdict(result.elastic),
+            "heat": dataclasses.asdict(result.heat),
             "signature": dict(zip(FEATURE_NAMES, (float(v) for v in sig.features()))),
             "fit_rmse_rel": sig.fit_rmse_rel,
             "t_max_c": result.t_max_c,
@@ -540,7 +534,7 @@ def _write_model_artifacts(out_dir: Path, result: ModelResult, y_mid_mm: float) 
     write_csv(
         out_dir / profile_rel,
         PROFILE_COLUMNS,
-        list(zip(result.profile_x_m, result.profile_t_c)),
+        list(zip(result.profile.positions, result.profile.temps)),
     )
     mesh = result.field.mesh
     x, z, t = mesh.nodes[:, 0], mesh.nodes[:, 2], result.field.values
@@ -601,7 +595,8 @@ def run_sweep(
             stages = ", ".join(f"{k} {v:.2f}" for k, v in result.stage_s.items())
             log.info(
                 "%s ok in %.2f s (%s); residuals elastic %.1e, heat %.1e",
-                mid, result.wall_time, stages, result.elastic_residual, result.heat_residual,
+                mid, result.wall_time, stages,
+                result.elastic.final_residual, result.heat.final_residual,
             )
         if time.monotonic() - last_save >= MANIFEST_SAVE_INTERVAL_S:
             manifest.save()
@@ -713,46 +708,28 @@ def mesh_study(cfg: StudyConfig, family: ShapeFamily, n: int = 10) -> MeshStudyR
     ladder = cfg.refinement.ladder(family)
     if len(ladder) < 2:
         raise ParameterError("mesh study needs at least two refinement levels")
-    temps, elements, nodes, tmaxes, walls = [], [], [], [], []
-    for idx in range(len(ladder)):
-        result = run_model(cfg, family, n, level=idx)
-        temps.append(result.profile_t_c)
-        elements.append(result.elements)
-        nodes.append(result.nodes)
-        tmaxes.append(result.t_max_c)
-        walls.append(result.wall_time)
-    diffs = []
-    for coarse, fine in zip(temps, temps[1:]):
-        diffs.append(float(np.max(np.abs(coarse - fine) / np.abs(fine))))
+    results = [run_model(cfg, family, n, level=idx) for idx in range(len(ladder))]
+    diffs = tuple(  # each level against the next, finer one
+        float(np.max(np.abs(a.profile.temps - b.profile.temps) / np.abs(b.profile.temps)))
+        for a, b in zip(results, results[1:])
+    )
+    levels = tuple(tuple(int(v) for v in entry) for entry in ladder)
     report = MeshStudyReport(
         family=family.value,
         n=n,
-        levels=tuple(tuple(int(v) for v in entry) for entry in ladder),
-        elements=tuple(elements),
-        nodes=tuple(nodes),
-        t_max_c=tuple(tmaxes),
-        wall_times=tuple(walls),
-        rel_diffs=tuple(diffs),
+        levels=levels,
+        elements=tuple(r.elements for r in results),
+        nodes=tuple(r.nodes for r in results),
+        t_max_c=tuple(r.t_max_c for r in results),
+        wall_times=tuple(r.wall_time for r in results),
+        rel_diffs=diffs,
     )
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for i in range(len(ladder)):
-        nx, ny, nz, factor = report.levels[i]
-        rows.append(
-            [
-                i,
-                nx,
-                ny,
-                nz,
-                factor,
-                report.elements[i],
-                report.nodes[i],
-                report.t_max_c[i],
-                "" if i == 0 else report.rel_diffs[i - 1],
-                report.wall_times[i],
-            ]
-        )
+    rows = [
+        [i, *level, r.elements, r.nodes, r.t_max_c, "" if i == 0 else diffs[i - 1], r.wall_time]
+        for i, (level, r) in enumerate(zip(levels, results))
+    ]
     write_csv(
         out_dir / f"mesh_study_{family.value}_n{n:03d}.csv",
         ["level", "nx", "ny", "nz", "local_factor", "elements", "nodes",

@@ -135,32 +135,38 @@ def test_pcg_and_direct_agree():
 
 
 def reduced_elastic_system(monkeypatch):
-    """The scatter plan, slot values and rhs that solve_elastic hands to the
-    SPD solver."""
+    """The scatter plan, slot values and Dirichlet-only displacement vector
+    that solve_elastic hands to the SPD solver, and the reduced rhs they
+    give (no loads: f = 0)."""
     systems = []
     real = fem._solve_spd
 
-    def capture(plan, vals, rhs, **kwargs):
-        systems.append((plan, vals, rhs))
-        return real(plan, vals, rhs, **kwargs)
+    def capture(plan, vals, u, *args, **kwargs):
+        systems.append((plan, vals, u.copy()))
+        return real(plan, vals, u, *args, **kwargs)
 
     monkeypatch.setattr(fem, "_solve_spd", capture)
     solve_elastic(decagon_mesh(factor=1, nx=6, ny=3, nz=3), ElasticParams())
-    return systems[0]
+    plan, vals, u = systems[0]
+    return plan, vals, u, -plan.matvec(vals, u)[plan.free]
 
 
 def test_direct_solve_matches_sparse_lu(monkeypatch):
-    plan, vals, rhs = reduced_elastic_system(monkeypatch)
+    plan, vals, u, rhs = reduced_elastic_system(monkeypatch)
     K_ff = plan.k_ff(vals)
-    x, iters, res = fem._solve_spd(plan, vals, rhs, method="direct", tol=1e-10)
+    lifted = u.copy()
+    stats = fem._solve_spd(plan, vals, u, method="direct", tol=1e-10)
+    x = u[plan.free]
     reference = splu(K_ff.tocsc()).solve(rhs)
     assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
-    assert iters == 0
-    assert res < 1e-12
+    np.testing.assert_array_equal(u[~plan.free], lifted[~plan.free])  # Dirichlet kept
+    assert stats.iterations == 0
+    assert stats.final_residual < 1e-12
+    assert (stats.n_free, stats.band) == (plan.perm.size, plan.band)
 
 
 def test_direct_solve_rejects_indefinite_system(monkeypatch):
-    plan, vals, rhs = reduced_elastic_system(monkeypatch)
+    plan, vals, u, _ = reduced_elastic_system(monkeypatch)
     K_ff = plan.k_ff(vals)
     # shifting by the mean eigenvalue (trace / n) leaves eigenvalues of both signs
     shift = K_ff.diagonal().mean()
@@ -169,7 +175,7 @@ def test_direct_solve_rejects_indefinite_system(monkeypatch):
     indefinite = vals.copy()
     indefinite[diagonal_slots] -= shift
     with pytest.raises(SingularSystemError):
-        fem._solve_spd(plan, indefinite, rhs, method="direct", tol=1e-10)
+        fem._solve_spd(plan, indefinite, u, method="direct", tol=1e-10)
 
 
 def test_pcg_nonconvergence_raises_with_stats():

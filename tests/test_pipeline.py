@@ -35,6 +35,7 @@ from tactherm.pipeline import (
     tumor_shape,
 )
 from tactherm.signature import PROFILE_SAMPLES
+from tactherm.textio import fmt, read_csv
 
 POLY = ShapeFamily.REGULAR_POLYGON
 STAR = ShapeFamily.STAR_POLYGON
@@ -205,13 +206,16 @@ def test_manifest_records_solver_stats_and_stage_timings(tmp_path, caplog):
         assert set(entry["stage_s"]) == {"mesh", "elastic", "heat", "profile_fit"}
         assert all(v >= 0.0 for v in entry["stage_s"].values())
         assert sum(entry["stage_s"].values()) <= entry["wall_time"]
-        assert 0.0 <= entry["elastic_residual"] <= 1e-10
-        assert 0.0 <= entry["heat_residual"] <= 1e-10
-        plan = fem._scatter_plan(
-            build_mesh(place_prism(tumor_shape(cfg, POLY, n), cfg.tissue), refinement_spec(cfg, POLY)),
-            "elastic",
+        mesh = build_mesh(
+            place_prism(tumor_shape(cfg, POLY, n), cfg.tissue), refinement_spec(cfg, POLY)
         )
-        assert (entry["elastic_n_free"], entry["elastic_band"]) == (plan.perm.size, plan.band)
+        # the heat solve runs on the deformed mesh, which keeps the topology
+        for solve, kind in (("elastic", "elastic"), ("heat", "thermal")):
+            stats = entry[solve]
+            assert 0.0 <= stats["final_residual"] <= 1e-10
+            assert stats["iterations"] == 0  # both solves are direct
+            plan = fem._scatter_plan(mesh, kind)
+            assert (stats["n_free"], stats["band"]) == (plan.perm.size, plan.band)
     lines = [r.getMessage() for r in caplog.records if r.name == "tactherm.pipeline"]
     assert len(lines) == 2
     assert lines[0].startswith("polygon-n003 ok in ") and "residuals elastic" in lines[0]
@@ -337,7 +341,16 @@ def test_mesh_study_reports_level_agreement(tmp_path):
     assert len(report.elements) == 2
     assert report.elements[0] < report.elements[1]
     assert all(d >= 0 for d in report.rel_diffs)
-    assert (tmp_path / "out" / "mesh_study_polygon_n005.csv").exists()
+    header, rows = read_csv(tmp_path / "out" / "mesh_study_polygon_n005.csv")
+    assert header == ["level", "nx", "ny", "nz", "local_factor", "elements", "nodes",
+                      "t_max_c", "rel_diff_prev", "wall_s"]
+    diffs = ("", *report.rel_diffs)
+    assert [row[:-1] for row in rows] == [  # all but wall_s
+        [fmt(v) for v in (i, *level, elements, nodes, t_max, diff)]
+        for i, (level, elements, nodes, t_max, diff) in enumerate(
+            zip(report.levels, report.elements, report.nodes, report.t_max_c, diffs)
+        )
+    ]
 
 
 def test_mesh_study_identical_levels_agree_exactly(tmp_path):
@@ -508,11 +521,12 @@ def test_level0_models_are_mirror_symmetric_and_share_one_plan(monkeypatch):
     monkeypatch.setattr(fem, "_build_plan", counting)
     for family in (POLY, STAR):
         result = run_model(cfg, family, 10)
-        np.testing.assert_array_equal(result.profile_t_c, result.profile_t_c[::-1])
+        temps = result.profile.temps
+        np.testing.assert_array_equal(temps, temps[::-1])
         # one profile path: the undeformed block centerline, whatever the
         # compression did to the top surface
         np.testing.assert_array_equal(
-            result.profile_x_m, np.linspace(0.0, 120.0, PROFILE_SAMPLES) * 1e-3
+            result.profile.positions, np.linspace(0.0, 120.0, PROFILE_SAMPLES) * 1e-3
         )
         assert max(abs(b) for b in result.signature.b) <= 1e-12
         mesh = build_mesh(place_prism(tumor_shape(cfg, family, 10), cfg.tissue),

@@ -172,7 +172,7 @@ def level0_profiles():
         (ShapeFamily.STAR_POLYGON, 99),
     ]:
         r = run_model(cfg, family, n)
-        out.append(SurfaceProfile(positions=r.profile_x_m, temps=r.profile_t_c))
+        out.append(r.profile)
     return out
 
 
