@@ -12,14 +12,14 @@ tumor volume fraction, which keeps the injected power exact and makes results
 vary smoothly with the shape parameter.
 
 Both systems are assembled through a scatter plan built once per mesh
-topology (connectivity, boundary faces and their tags) and kept in a small
-per-process cache. The plan maps every element-matrix entry to a slot of the
-assembled matrix and holds the CSR structure of the reduced matrix K_ff, its
-reverse Cuthill-McKee order and the positions of its band. A solve computes
-the element entries as array expressions over all tets, sums them into the
-slots with one bincount, and gathers K_ff and the band from the slots. The
-models of a sweep share one topology, so only the first model pays for the
-symbolic work.
+topology (connectivity, boundary faces and their tags); each process keeps
+the last plan of each kind. The plan maps every element-matrix entry to a
+slot, numbered so that the slot values are the full matrix in CSR form, and
+holds the reverse Cuthill-McKee order of the free unknowns and the positions
+of the reduced matrix K_ff's band. A solve computes the element entries as
+array expressions over all tets, sums them into the slots with one bincount,
+and gathers the band from the slots. The models of a sweep share one
+topology, so only the first model pays for the symbolic work.
 
 A mesh with a SYMMETRY plane (every mesh build_mesh makes) is the x <= c
 half of a mirror-symmetric block. The elastic problem adds u_x = 0 on the
@@ -145,18 +145,16 @@ def _gradients(nodes: np.ndarray, tets: np.ndarray):
 class _ScatterPlan:
     """Where every element-matrix entry of one mesh topology lands.
 
-    Slots are the distinct (row, col) positions of the assembled matrix. All
-    of it follows from the connectivity and the Dirichlet set, so the models
-    of a sweep, which share one topology, share one plan.
+    Slots are the distinct (row, col) positions of the assembled matrix,
+    numbered row-major, so the slot values are the data of the full matrix
+    in CSR form. All of it follows from the connectivity and the Dirichlet
+    set, so the models of a sweep, which share one topology, share one plan.
     """
 
     entry_slot: np.ndarray  # (entries,) slot of each element-matrix entry
-    rows: np.ndarray  # (slots,) matrix row of each slot
-    cols: np.ndarray  # (slots,) matrix column of each slot
+    indptr: np.ndarray  # (n + 1,) CSR row pointers of the full matrix
+    indices: np.ndarray  # (slots,) column of each slot
     free: np.ndarray  # (n,) bool, False on Dirichlet unknowns
-    ff_indptr: np.ndarray  # CSR structure of K_ff (free rows and columns)
-    ff_indices: np.ndarray
-    ff_slot: np.ndarray  # slot of each CSR entry of K_ff
     perm: np.ndarray  # reverse Cuthill-McKee order of the free unknowns
     band: int  # upper bandwidth of K_ff in that order
     band_pos: np.ndarray  # flat index into the Fortran-order (band+1, n_free) array
@@ -164,17 +162,12 @@ class _ScatterPlan:
 
     def assemble(self, entries: np.ndarray) -> np.ndarray:
         """Slot values: the element entries summed in one fixed order."""
-        return np.bincount(self.entry_slot, weights=entries, minlength=self.rows.size)
+        return np.bincount(self.entry_slot, weights=entries, minlength=self.indices.size)
 
-    def matvec(self, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """K @ x for the full matrix, Dirichlet rows and columns included."""
-        return np.bincount(self.rows, weights=vals * x[self.cols], minlength=self.free.size)
-
-    def k_ff(self, vals: np.ndarray) -> sp.csr_matrix:
-        n_free = self.perm.size
-        return sp.csr_matrix(
-            (vals[self.ff_slot], self.ff_indices, self.ff_indptr), shape=(n_free, n_free)
-        )
+    def matrix(self, vals: np.ndarray) -> sp.csr_matrix:
+        """The full matrix, Dirichlet rows and columns included."""
+        n = self.free.size
+        return sp.csr_matrix((vals, self.indices, self.indptr), shape=(n, n))
 
 
 def _build_plan(mesh: TetMesh, kind: str) -> _ScatterPlan:
@@ -200,13 +193,23 @@ def _build_plan(mesh: TetMesh, kind: str) -> _ScatterPlan:
         (g.T[:, None, :].astype(np.int64) * n_nodes + g.T[None, :, :]).ravel() for g in groups
     ])
     pairs, pair_slot = np.unique(keys, return_inverse=True)
-    # slot s * bs^2 + i * bs + j holds component (i, j) of node pair s
+    # component (i, j) of node pair (a, b) is entry (bs a + i, bs b + j). The
+    # slots are numbered row-major, in CSR order: within a row they already
+    # run in column order, so a stable sort by row keeps it.
     comp = np.arange(bs * bs)
-    entry_slot = pair_slot
-    if bs > 1:  # element entries are ordered (a, i, b, j, tet)
-        entry_slot = pair_slot.reshape(4, 1, 4, 1, -1) * (bs * bs) + comp.reshape(1, bs, 1, bs, 1)
     rows = (bs * (pairs // n_nodes)[:, None] + comp // bs).ravel()
     cols = (bs * (pairs % n_nodes)[:, None] + comp % bs).ravel()
+    order = np.argsort(rows, kind="stable")
+    rows, cols = rows[order], cols[order]
+    # int32 maps take half the memory. The entry map is gathered from an int32
+    # rank, so no intp copy of it is made; in the elastic plan the (i, j)
+    # index arrays broadcast to pair_slot's axes 1 and 3.
+    rank = np.empty(order.size, dtype=np.int32)
+    rank[order] = np.arange(order.size, dtype=np.int32)
+    comp = np.arange(bs)
+    if bs > 1:  # element entries are ordered (a, i, b, j, tet)
+        pair_slot = pair_slot.reshape(4, 1, 4, 1, -1)
+    entry_slot = rank.reshape(-1, bs, bs)[pair_slot, comp[:, None, None, None], comp[:, None]]
 
     free = np.ones(bs * n_nodes, dtype=bool)
     free[fixed] = False
@@ -214,9 +217,7 @@ def _build_plan(mesh: TetMesh, kind: str) -> _ScatterPlan:
     index = np.cumsum(free) - 1
     ff = np.flatnonzero(free[rows] & free[cols])
     fr, fc = index[rows[ff]], index[cols[ff]]
-    order = np.argsort(fr * n_free + fc)
-    ff, fr, fc = ff[order], fr[order], fc[order]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(fr, minlength=n_free))])
+    indptr = np.searchsorted(fr, np.arange(n_free + 1))
     pattern = sp.csr_matrix((np.ones(ff.size), fc, indptr), shape=(n_free, n_free))
     perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
     rank = np.empty(n_free, dtype=np.intp)
@@ -224,45 +225,37 @@ def _build_plan(mesh: TetMesh, kind: str) -> _ScatterPlan:
     i, j = rank[fr], rank[fc]
     upper = i <= j
     band = int((j - i).max(initial=0))
-    # int32 maps take half the memory; band_pos stays intp, because the band
-    # array's (band + 1) * n_free entries may pass 2**31
-    i32 = np.int32
+    # band_pos stays intp: the band array's (band + 1) * n_free entries may
+    # pass 2**31
     return _ScatterPlan(
-        entry_slot=entry_slot.astype(i32).ravel(),
-        rows=rows.astype(i32),
-        cols=cols.astype(i32),
+        entry_slot=entry_slot.ravel(),
+        indptr=np.searchsorted(rows, np.arange(free.size + 1)).astype(np.int32),
+        indices=cols.astype(np.int32),
         free=free,
-        ff_indptr=indptr.astype(i32),
-        ff_indices=fc.astype(i32),
-        ff_slot=ff.astype(i32),
         perm=perm,
         band=band,
         band_pos=(band + i - j + j * (band + 1))[upper],
-        band_slot=ff[upper].astype(i32),
+        band_slot=ff[upper].astype(np.int32),
     )
 
 
-# Plans kept per process, least recently used dropped first. The production
-# elastic plan takes 11.4 MB at level 0, 16.2-16.3 MB at level 1 and
-# 22.8-23.8 MB at level 2, its thermal plan 1.3, 1.9 and 2.6-2.7 MB. The
-# level-0 meshes of both families share one topology, so a sweep needs two
-# plans (elastic and thermal).
-_PLAN_CACHE_SIZE = 4
-_plans: dict = {}
+# The last plan built of each kind, with the topology it was built for. A
+# sweep, a run of solves and calibration use one topology per process (at
+# level 0 both families share it); a mesh study meets each level once. The
+# production elastic plan takes 8.6 MB at level 0, 12.2 MB at level 1 and
+# 17.1-17.8 MB at level 2, its thermal plan 1.0, 1.4 and 2.0-2.1 MB.
+_last_plan: dict = {}
 
 
 def _scatter_plan(mesh: TetMesh, kind: str) -> _ScatterPlan:
-    """The cached plan for this mesh topology, built on first use."""
-    key = (kind, mesh.n_nodes) + tuple(
+    """The last plan of this kind if it was built for this topology, else a new one."""
+    key = (mesh.n_nodes,) + tuple(
         (a.dtype.str, a.shape, a.tobytes()) for a in (mesh.tets, mesh.faces, mesh.face_tags)
     )
-    plan = _plans.pop(key, None)
-    if plan is None:
-        plan = _build_plan(mesh, kind)
-    _plans[key] = plan
-    while len(_plans) > _PLAN_CACHE_SIZE:
-        del _plans[next(iter(_plans))]
-    return plan
+    last = _last_plan.get(kind)
+    if last is None or last[0] != key:
+        last = _last_plan[kind] = (key, _build_plan(mesh, kind))
+    return last[1]
 
 
 def _top_faces(mesh: TetMesh):
@@ -349,20 +342,21 @@ def _solve_spd(
 
     The Dirichlet entries are lifted to the right-hand side, the plan's SPD
     reduced system K_ff x = rhs is solved and x is written into u's free
-    entries. The residual is taken from the assembled K_ff, relative to
-    ||rhs||. tol and max_iter apply to PCG only; a PCG solve that misses tol
-    raises SolverError carrying its stats.
+    entries. Every outcome reports the residual of K u = f on the free rows,
+    taken from the assembled matrix, relative to ||rhs||. tol and max_iter
+    apply to PCG only; a PCG solve that misses tol raises SolverError
+    carrying its stats.
     """
-    rhs = (f - plan.matvec(vals, u))[plan.free]
+    K = plan.matrix(vals)
+    rhs = (f - K @ u)[plan.free]
     bnorm = float(np.linalg.norm(rhs))
-    converged = True
+    iterations, converged = 0, True
     if bnorm == 0.0:
-        x, iterations, residual = np.zeros_like(rhs), 0, rhs
+        x = np.zeros_like(rhs)
     elif method == "direct":
         x = _solve_banded_cholesky(plan, vals, rhs)
-        iterations, residual = 0, plan.k_ff(vals) @ x - rhs
     elif method == "pcg":
-        K_ff = plan.k_ff(vals)
+        K_ff = K[plan.free][:, plan.free]
         diag = K_ff.diagonal()
         if np.any(diag <= 0):
             raise SingularSystemError("non-positive diagonal in SPD system")
@@ -388,11 +382,11 @@ def _solve_spd(
             iterations, converged = cap, False
     else:
         raise ParameterError(f"unknown solver method {method!r}")
-    rel = float(np.linalg.norm(residual)) / bnorm if bnorm else 0.0
+    u[plan.free] = x
+    rel = float(np.linalg.norm((K @ u - f)[plan.free])) / bnorm if bnorm else 0.0
     stats = SolveStats(iterations, rel, plan.perm.size, plan.band)
     if not converged:
         raise SolverError(f"PCG did not reach tol {tol} within {cap} iterations", stats=stats)
-    u[plan.free] = x
     return stats
 
 
@@ -450,7 +444,7 @@ def energy_balance(field: ScalarField, params: ThermalParams) -> EnergyBalance:
     out_top = float(np.dot(params.h_top * area, t_mean - params.t_ambient))
 
     plan, vals, f = _thermal_system(mesh, params)
-    reaction = plan.matvec(vals, T) - f
+    reaction = plan.matrix(vals) @ T - f
     bottom = mesh.boundary_nodes(FaceTag.BOTTOM)
     out_bottom = -float(reaction[bottom].sum())
     return EnergyBalance(copies * generated, copies * out_top, copies * out_bottom)

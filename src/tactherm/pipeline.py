@@ -196,14 +196,20 @@ class StudyConfig:
     out_dir: str = "out"
 
 
-def _tuplize(value):
-    if isinstance(value, list):
-        return tuple(_tuplize(v) for v in value)
-    return value
-
-
-def config_to_dict(cfg: StudyConfig) -> dict:
-    return dataclasses.asdict(cfg)
+def _check_type(name: str, default, value) -> None:
+    """Raise ParameterError unless value has the JSON type of the field's
+    default; a float field takes an int too, and a ladder is a list of
+    4-integer lists. Nothing is converted, so a config hashes as before."""
+    if isinstance(default, float):
+        ok = type(value) in (int, float)
+    elif isinstance(default, (int, str)):
+        ok = type(value) is type(default)
+    else:
+        ok = isinstance(value, list) and all(
+            isinstance(e, list) and len(e) == 4 and all(type(v) is int for v in e) for e in value
+        )
+    if not ok:
+        raise ParameterError(f"config value {name} must have the type of {default!r}: {value!r}")
 
 
 def config_from_dict(data: dict) -> StudyConfig:
@@ -219,22 +225,27 @@ def config_from_dict(data: dict) -> StudyConfig:
     kwargs = {}
     for key, value in data.items():
         if key == "out_dir":
-            kwargs[key] = str(value)
+            _check_type(key, StudyConfig.out_dir, value)
+            kwargs[key] = value
         elif key in sections:
             if not isinstance(value, dict):
                 raise ParameterError(f"config section {key!r} must be an object")
-            known = {f.name for f in dataclasses.fields(sections[key])}
-            extra = set(value) - known
+            defaults = {f.name: f.default for f in dataclasses.fields(sections[key])}
+            extra = set(value) - set(defaults)
             if extra:
                 raise ParameterError(f"unknown keys in config section {key!r}: {sorted(extra)}")
-            kwargs[key] = sections[key](**{k: _tuplize(v) for k, v in value.items()})
+            for name, v in value.items():
+                _check_type(f"{key}.{name}", defaults[name], v)
+            kwargs[key] = sections[key](**{  # a ladder's lists become tuples
+                k: tuple(map(tuple, v)) if isinstance(v, list) else v for k, v in value.items()
+            })
         else:
             raise ParameterError(f"unknown config key {key!r}")
     return StudyConfig(**kwargs)
 
 
 def config_to_json(cfg: StudyConfig) -> str:
-    return json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
+    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n"
 
 
 def config_from_json(text: str) -> StudyConfig:
@@ -261,7 +272,7 @@ def config_hash(cfg: StudyConfig) -> str:
     last bits depend on the BLAS thread count. out_dir and learn are left
     out: neither changes a solved model, so a copied output directory resumes
     and a new learn split re-solves nothing."""
-    config = config_to_dict(cfg)
+    config = dataclasses.asdict(cfg)
     del config["out_dir"], config["learn"]
     doc = {
         "config": config,
@@ -518,11 +529,6 @@ class SweepResult:
     failed: tuple  # (model id, message) pairs
 
 
-def _solve_job(args) -> ModelResult:
-    cfg, family, n = args
-    return run_model(cfg, family, n)
-
-
 def _write_model_artifacts(out_dir: Path, result: ModelResult, y_mid_mm: float) -> dict:
     """Centerline profile and mid-plane section of one model; one path per
     MODEL_ARTIFACTS kind. The section covers the whole block: the solved
@@ -605,13 +611,13 @@ def run_sweep(
     try:
         if workers > 1 and len(pending) > 1:
             with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-                futures = deque(pool.submit(_solve_job, (cfg, *job)) for job in pending)
+                futures = deque(pool.submit(run_model, cfg, *job) for job in pending)
                 for job in pending:
                     # popped so that each result is freed once it is reduced
                     finish(*job, futures.popleft().result)
         else:
             for job in pending:
-                finish(*job, partial(_solve_job, (cfg, *job)))
+                finish(*job, partial(run_model, cfg, *job))
     finally:  # an interrupted sweep still records every finished model
         manifest.save()
 

@@ -63,6 +63,19 @@ def test_invalid_config_exits_1(tmp_path):
     assert cli.main(["--config", str(bad), "geometry", "--family", "star", "--n", "5"]) == 1
 
 
+def test_config_value_of_the_wrong_type_exits_1_without_traceback(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"refinement": {"level": 0.5}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tactherm.cli", "--config", str(bad), "solve",
+         "--family", "polygon", "--n", "5"],
+        env=_fresh_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "error: config value refinement.level" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_geometry_and_mesh_commands(tiny_cfg_path, tmp_path, capsys):
     csv = tmp_path / "poly.csv"
     assert cli.main(["--config", str(tiny_cfg_path), "geometry",

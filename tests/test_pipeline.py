@@ -105,6 +105,32 @@ def test_config_rejects_unknown_keys():
             config_from_json(json.dumps(removed))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("sweep.start", "3"),
+    ("sweep.start", 3.5),
+    ("thermal.k_tissue", "0.6"),
+    ("learn.train_size", "68"),
+    ("tissue.x_len", None),
+    ("refinement.level", 0.5),
+    ("elastic.applied_strain", False),
+    ("refinement.polygon", [[13, 6, 4, "3"]]),
+    ("refinement.star", [[13, 6, 4]]),
+    ("refinement.star", [13, 6, 4, 3]),
+    ("out_dir", None),
+])
+def test_config_rejects_values_of_the_wrong_type(name, value):
+    section, _, key = name.partition(".")
+    doc = {section: {key: value}} if key else {section: value}
+    with pytest.raises(ParameterError, match=name):
+        config_from_json(json.dumps(doc))
+
+
+def test_config_takes_an_integer_for_a_float_unconverted():
+    # a conversion would change the hash of existing configs, and so their resume
+    cfg = config_from_json(json.dumps({"tissue": {"x_len": 120}}))
+    assert cfg.tissue.x_len == 120 and isinstance(cfg.tissue.x_len, int)
+
+
 def test_refinement_window_covers_widest_shape():
     cfg = StudyConfig()
     for family in (POLY, STAR):
@@ -510,7 +536,7 @@ def test_level0_models_are_mirror_symmetric_and_share_one_plan(monkeypatch):
     symmetric bit for bit, so the sine coefficients are fit roundoff, and
     the counts are those of the whole block."""
     cfg = StudyConfig()
-    monkeypatch.setattr(fem, "_plans", {})
+    monkeypatch.setattr(fem, "_last_plan", {})
     builds = []
     real = fem._build_plan
 
