@@ -75,6 +75,19 @@ def _family(value: str) -> ShapeFamily:
         raise _UsageError(f"family must be 'polygon' or 'star', not {value!r}")
 
 
+def _int_from(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(value: str) -> int:
+        number = int(value)
+        if number < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {number}")
+        return number
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tactherm", description=__doc__.splitlines()[0])
     parser.add_argument("--config", type=Path, help="JSON study config")
@@ -101,7 +114,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run the full shape sweep for one family")
     p.add_argument("--family", required=True, type=_family)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_from(1), default=1)
 
     p = sub.add_parser("mesh-study", help="refinement-ladder independence study")
     p.add_argument("--family", required=True, type=_family)
@@ -109,7 +122,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("learn", help="train/evaluate the RBF on a sweep dataset")
     p.add_argument("--family", required=True, type=_family)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_from(0), default=None)
 
     p = sub.add_parser("calibrate", help="solve for the ambient matching a target T_max")
     p.add_argument("--target", type=float, default=29.7)
@@ -117,8 +130,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("figures", help="emit SVG figures and their CSV companions")
 
     p = sub.add_parser("all", help="sweep both families, learn, then figures")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--workers", type=_int_from(1), default=1)
+    p.add_argument("--seed", type=_int_from(0), default=None)
 
     return parser
 

@@ -11,9 +11,10 @@ Material properties blend tissue and tumor values by the exact per-element
 tumor volume fraction, which keeps the injected power exact and makes results
 vary smoothly with the shape parameter.
 
-Both systems are assembled through a scatter plan built once per mesh
-topology (connectivity, boundary faces and their tags); each process keeps
-the last plan of each kind. The plan maps every element-matrix entry to a
+Each problem is declared in one function: its element groups, its
+Dirichlet unknowns and their values. Both systems are assembled through a
+scatter plan built from that declaration alone; each process keeps the last
+plan of each block size. The plan maps every element-matrix entry to a
 slot, numbered so that the slot values are the full matrix in CSR form, and
 holds the reverse Cuthill-McKee order of the free unknowns and the positions
 of the reduced matrix K_ff's band. A solve computes the element entries as
@@ -98,22 +99,6 @@ class ScalarField:
 
 
 @dataclass(frozen=True)
-class VectorField:
-    """Nodal displacements (mm) on a mesh."""
-
-    mesh: TetMesh
-    values: np.ndarray  # (N, 3)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.mesh.n_nodes, 3):
-            raise ParameterError("field shape must be (n_nodes, 3)")
-        if not np.all(np.isfinite(v)):
-            raise ParameterError("field contains non-finite values")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class SolveStats:
     iterations: int
     final_residual: float  # relative to ||rhs||
@@ -143,12 +128,12 @@ def _gradients(nodes: np.ndarray, tets: np.ndarray):
 
 @dataclass(frozen=True)
 class _ScatterPlan:
-    """Where every element-matrix entry of one mesh topology lands.
+    """Where every element-matrix entry of one declared problem lands.
 
     Slots are the distinct (row, col) positions of the assembled matrix,
     numbered row-major, so the slot values are the data of the full matrix
-    in CSR form. All of it follows from the connectivity and the Dirichlet
-    set, so the models of a sweep, which share one topology, share one plan.
+    in CSR form. All of it follows from the element groups and the Dirichlet
+    unknowns, so the models of a sweep, which share them, share one plan.
     """
 
     entry_slot: np.ndarray  # (entries,) slot of each element-matrix entry
@@ -170,25 +155,11 @@ class _ScatterPlan:
         return sp.csr_matrix((vals, self.indices, self.indptr), shape=(n, n))
 
 
-def _build_plan(mesh: TetMesh, kind: str) -> _ScatterPlan:
-    """Scatter plan of the "thermal" system (one unknown per node, tets plus
-    Robin faces on TOP, bottom nodes fixed) or the "elastic" one (three per
-    node, bottom nodes fixed, u_z fixed on top, u_x fixed on SYMMETRY)."""
-    n_nodes = mesh.n_nodes
-    bottom = mesh.boundary_nodes(FaceTag.BOTTOM)
-    groups = [mesh.tets]
-    if kind == "thermal":
-        bs = 1
-        groups.append(mesh.faces[mesh.face_tags == FaceTag.TOP])
-        fixed = bottom
-    else:
-        bs = 3
-        top = mesh.boundary_nodes(FaceTag.TOP)
-        plane = mesh.boundary_nodes(FaceTag.SYMMETRY)
-        fixed = np.concatenate(
-            [(3 * bottom[:, None] + np.arange(3)).ravel(), 3 * top + 2, 3 * plane]
-        )
-    # node pair (a, b) of each tet and Robin face, the element index last
+def _build_plan(n_nodes: int, bs: int, groups: tuple, fixed: np.ndarray) -> _ScatterPlan:
+    """Scatter plan of a system with bs unknowns per node, assembled from
+    the (M, k) node arrays in groups, with the unknowns in fixed held by
+    Dirichlet conditions. Block systems (bs > 1) take one group of tets."""
+    # node pair (a, b) of each element of each group, the element index last
     keys = np.concatenate([
         (g.T[:, None, :].astype(np.int64) * n_nodes + g.T[None, :, :]).ravel() for g in groups
     ])
@@ -239,22 +210,21 @@ def _build_plan(mesh: TetMesh, kind: str) -> _ScatterPlan:
     )
 
 
-# The last plan built of each kind, with the topology it was built for. A
-# sweep, a run of solves and calibration use one topology per process (at
-# level 0 both families share it); a mesh study meets each level once. The
-# production elastic plan takes 8.6 MB at level 0, 12.2 MB at level 1 and
-# 17.1-17.8 MB at level 2, its thermal plan 1.0, 1.4 and 2.0-2.1 MB.
+# The last plan built for each block size (1 thermal, 3 elastic), with the
+# declaration it was built from. A sweep, a run of solves and calibration
+# declare one problem of each per process (at level 0 both families share
+# them); a mesh study meets each level once. The production elastic plan
+# takes 8.6 MB at level 0, 12.2 MB at level 1 and 17.1-17.8 MB at level 2,
+# its thermal plan 1.0, 1.4 and 2.0-2.1 MB.
 _last_plan: dict = {}
 
 
-def _scatter_plan(mesh: TetMesh, kind: str) -> _ScatterPlan:
-    """The last plan of this kind if it was built for this topology, else a new one."""
-    key = (mesh.n_nodes,) + tuple(
-        (a.dtype.str, a.shape, a.tobytes()) for a in (mesh.tets, mesh.faces, mesh.face_tags)
-    )
-    last = _last_plan.get(kind)
+def _scatter_plan(n_nodes: int, bs: int, groups: tuple, fixed: np.ndarray) -> _ScatterPlan:
+    """The last plan of this block size if built from this declaration, else a new one."""
+    key = (n_nodes,) + tuple((a.dtype.str, a.shape, a.tobytes()) for a in (*groups, fixed))
+    last = _last_plan.get(bs)
     if last is None or last[0] != key:
-        last = _last_plan[kind] = (key, _build_plan(mesh, kind))
+        last = _last_plan[bs] = (key, _build_plan(n_nodes, bs, groups, fixed))
     return last[1]
 
 
@@ -270,15 +240,16 @@ _FACE_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.
 
 
 def _thermal_system(mesh: TetMesh, p: ThermalParams):
-    """Plan, slot values (conduction plus Robin) and load vector, no
-    Dirichlet condition applied yet. Entries are ordered (a, b, element),
-    the tets before the TOP faces, as the plan expects."""
-    plan = _scatter_plan(mesh, "thermal")
+    """Plan, slot values (conduction plus Robin) and load vector of the
+    heat problem: tets plus Robin faces on TOP, the BOTTOM nodes held at
+    t_bottom. Entries are ordered (a, b, element), the tets before the TOP
+    faces, as the plan expects."""
+    top, area = _top_faces(mesh)
+    plan = _scatter_plan(mesh.n_nodes, 1, (mesh.tets, top), mesh.boundary_nodes(FaceTag.BOTTOM))
     grads, vol = _gradients(mesh.nodes * MM, mesh.tets)
     mix = mesh.tumor_frac
     k_e = p.k_tissue + (p.k_tumor - p.k_tissue) * mix
     local = np.einsum("e,aie,bie->abe", k_e * vol, grads, grads)
-    top, area = _top_faces(mesh)
     robin = p.h_top * _FACE_MASS[:, :, None] * area
     vals = plan.assemble(np.concatenate([local.ravel(), robin.ravel()]))
     load = np.concatenate([
@@ -292,13 +263,17 @@ def _thermal_system(mesh: TetMesh, p: ThermalParams):
 
 
 def _elastic_system(mesh: TetMesh, p: ElasticParams):
-    """Plan and slot values of the elastic stiffness, no Dirichlet yet.
-
-    Block (a, b) of a tet is vol * (lam ga gb^T + mu gb ga^T + mu (ga.gb) I)
-    for the shape-function gradients ga, gb; entries are ordered
-    (a, i, b, j, tet) as the plan expects.
+    """Plan, slot values and Dirichlet-only displacement vector of the
+    elastic problem: BOTTOM nodes fixed, u_z = -applied_strain * z_len on
+    TOP, u_x = 0 on SYMMETRY. Block (a, b) of a tet is
+    vol * (lam ga gb^T + mu gb ga^T + mu (ga.gb) I) for the shape-function
+    gradients ga, gb; entries are ordered (a, i, b, j, tet) as the plan expects.
     """
-    plan = _scatter_plan(mesh, "elastic")
+    bottom = mesh.boundary_nodes(FaceTag.BOTTOM)
+    top = mesh.boundary_nodes(FaceTag.TOP)
+    plane = mesh.boundary_nodes(FaceTag.SYMMETRY)
+    fixed = np.concatenate([(3 * bottom[:, None] + np.arange(3)).ravel(), 3 * top + 2, 3 * plane])
+    plan = _scatter_plan(mesh.n_nodes, 3, (mesh.tets,), fixed)
     grads, vol = _gradients(mesh.nodes, mesh.tets)  # mm units cancel: no loads
     e_mod = p.e_tissue * (1.0 + (p.tumor_stiffness_factor - 1.0) * mesh.tumor_frac)
     lam = e_mod * p.poisson / ((1.0 + p.poisson) * (1.0 - 2.0 * p.poisson))
@@ -310,7 +285,9 @@ def _elastic_system(mesh: TetMesh, p: ElasticParams):
     dots = np.einsum("aie,bie->abe", g_mu, grads)
     for i in range(3):
         ke[:, i, :, i, :] += dots
-    return plan, plan.assemble(ke.ravel())
+    u = np.zeros(3 * mesh.n_nodes)
+    u[3 * top + 2] = -p.applied_strain * float(mesh.nodes[:, 2].max())
+    return plan, plan.assemble(ke.ravel()), u
 
 
 def _solve_banded_cholesky(plan: _ScatterPlan, vals: np.ndarray, rhs) -> np.ndarray:
@@ -404,9 +381,9 @@ def solve_heat(
     top, natural (insulated) sides and SYMMETRY plane. Raises
     SingularSystemError when no boundary condition pins the solution.
     """
-    if params.h_top == 0.0 and mesh.boundary_nodes(FaceTag.BOTTOM).size == 0:
-        raise SingularSystemError("no Dirichlet nodes and h_top = 0: T only fixed up to a constant")
     plan, vals, f = _thermal_system(mesh, params)
+    if params.h_top == 0.0 and plan.free.all():
+        raise SingularSystemError("no Dirichlet nodes and h_top = 0: T only fixed up to a constant")
     values = np.where(plan.free, 0.0, params.t_bottom)  # Dirichlet part; the solve fills the rest
     stats = _solve_spd(plan, vals, values, f, method=method, tol=tol, max_iter=max_iter)
     return ScalarField(mesh, values), stats
@@ -445,13 +422,13 @@ def energy_balance(field: ScalarField, params: ThermalParams) -> EnergyBalance:
 
     plan, vals, f = _thermal_system(mesh, params)
     reaction = plan.matrix(vals) @ T - f
-    bottom = mesh.boundary_nodes(FaceTag.BOTTOM)
-    out_bottom = -float(reaction[bottom].sum())
+    out_bottom = -float(reaction[~plan.free].sum())
     return EnergyBalance(copies * generated, copies * out_top, copies * out_bottom)
 
 
-def solve_elastic(mesh: TetMesh, params: ElasticParams) -> tuple[VectorField, SolveStats]:
-    """Displacement under imposed vertical compression of the top face.
+def solve_elastic(mesh: TetMesh, params: ElasticParams) -> tuple[np.ndarray, SolveStats]:
+    """(N, 3) nodal displacements (mm) under imposed vertical compression of
+    the top face, and the solve's stats.
 
     Bottom face fully fixed; top face u_z = -applied_strain * z_len with
     horizontal components free; sides traction-free; u_x = 0 on the
@@ -462,19 +439,17 @@ def solve_elastic(mesh: TetMesh, params: ElasticParams) -> tuple[VectorField, So
     diagonal-preconditioned CG. Raises SingularSystemError when the reduced
     stiffness is not positive definite.
     """
-    plan, vals = _elastic_system(mesh, params)
-    z_len = float(mesh.nodes[:, 2].max())
-    u = np.zeros(3 * mesh.n_nodes)  # Dirichlet part; the solve fills the rest
-    u[3 * mesh.boundary_nodes(FaceTag.TOP) + 2] = -params.applied_strain * z_len
+    plan, vals, u = _elastic_system(mesh, params)
     stats = _solve_spd(plan, vals, u, method="direct")
-    return VectorField(mesh, u.reshape(mesh.n_nodes, 3)), stats
+    return u.reshape(mesh.n_nodes, 3), stats
 
 
-def deform_mesh(mesh: TetMesh, u: VectorField) -> TetMesh:
-    """Move nodes by the displacement field; rejects inverted elements."""
-    if u.mesh is not mesh and u.values.shape[0] != mesh.n_nodes:
-        raise ParameterError("displacement field does not match the mesh")
-    moved = mesh.with_nodes(mesh.nodes + u.values)
+def deform_mesh(mesh: TetMesh, u: np.ndarray) -> TetMesh:
+    """Move nodes by the (N, 3) displacements u (mm); rejects inverted elements."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != mesh.nodes.shape or not np.all(np.isfinite(u)):
+        raise ParameterError("displacement must be a finite (n_nodes, 3) array")
+    moved = mesh.with_nodes(mesh.nodes + u)
     min_vol = float(moved.tet_volumes().min())
     if min_vol <= 0.0:
         raise DeformationError(f"deformation inverted elements (min volume {min_vol:g} mm^3)")

@@ -14,7 +14,7 @@ training rows; phi(r) = r has no scale to choose and interpolates them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg as sla
@@ -248,14 +248,6 @@ def save_model(model: RbfModel, path) -> None:
 
 
 def write_report_csv(report: EvalReport, path) -> None:
-    rows = [
-        ("rmse", report.rmse),
-        ("mse", report.mse),
-        ("mean_err", report.mean_err),
-        ("variance", report.variance),
-        ("std", report.std),
-        ("rounded_accuracy", report.rounded_accuracy),
-        ("count", report.count),
-    ]
+    rows = [(f.name, getattr(report, f.name)) for f in fields(report)]
     write_csv(path, ["metric", "value"], rows)
 

@@ -178,6 +178,8 @@ class LearnSpec:
     test_size: int = 30
 
     def __post_init__(self):
+        if self.split_seed < 0:
+            raise ParameterError("split_seed must be >= 0")
         if self.train_size < 1 or self.test_size < 1:
             raise ParameterError("split sizes must be positive")
 
@@ -835,7 +837,10 @@ def _read_float_table(path: Path, columns: list) -> np.ndarray:
             raise ValueError("no data rows")
         if any(len(row) != len(columns) for row in rows):
             raise ValueError(f"a row does not have {len(columns)} fields")
-        return np.array([[float(v) for v in row] for row in rows])
+        table = np.array([[float(v) for v in row] for row in rows])
+        if not np.isfinite(table).all():
+            raise ValueError("a value is not finite")
+        return table
     except ValueError as exc:
         raise ArtifactError(f"malformed table {path}: {exc}") from exc
 

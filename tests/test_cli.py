@@ -76,6 +76,28 @@ def test_config_value_of_the_wrong_type_exits_1_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("split_seed, args", [
+    (0, ["learn", "--family", "polygon", "--seed", "-1"]),
+    (0, ["all", "--seed", "-1"]),
+    (0, ["sweep", "--family", "polygon", "--workers", "0"]),
+    (0, ["all", "--workers", "-3"]),
+    (-1, ["all"]),
+])
+def test_negative_seed_or_worker_count_exits_1_before_any_work(tiny_cfg_path, tmp_path,
+                                                                 split_seed, args):
+    doc = json.loads(tiny_cfg_path.read_text())
+    doc["learn"]["split_seed"] = split_seed
+    tiny_cfg_path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tactherm.cli", "--config", str(tiny_cfg_path), *args],
+        env=_fresh_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1
+    assert "error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_geometry_and_mesh_commands(tiny_cfg_path, tmp_path, capsys):
     csv = tmp_path / "poly.csv"
     assert cli.main(["--config", str(tiny_cfg_path), "geometry",

@@ -16,7 +16,6 @@ from tactherm.fem import (
     ScalarField,
     SolveStats,
     ThermalParams,
-    VectorField,
     deform_mesh,
     energy_balance,
     solve_elastic,
@@ -208,7 +207,7 @@ def test_singular_without_any_pinning_condition():
 def test_elastic_zero_strain_zero_displacement():
     mesh = decagon_mesh(factor=1, nx=4, ny=2, nz=2)
     u, _ = solve_elastic(mesh, ElasticParams(applied_strain=0.0))
-    np.testing.assert_allclose(u.values, 0.0, atol=1e-12)
+    np.testing.assert_allclose(u, 0.0, atol=1e-12)
 
 
 def test_elastic_uniaxial_poisson_zero():
@@ -216,16 +215,16 @@ def test_elastic_uniaxial_poisson_zero():
     p = ElasticParams(poisson=0.0, tumor_stiffness_factor=1.0, applied_strain=0.06)
     u, _ = solve_elastic(mesh, p)
     expect_uz = -0.06 * mesh.nodes[:, 2]
-    np.testing.assert_allclose(u.values[:, 2], expect_uz, atol=1e-8)
-    np.testing.assert_allclose(u.values[:, :2], 0.0, atol=1e-8)
+    np.testing.assert_allclose(u[:, 2], expect_uz, atol=1e-8)
+    np.testing.assert_allclose(u[:, :2], 0.0, atol=1e-8)
 
 
 def test_elastic_top_face_displacement_imposed():
     mesh = decagon_mesh(factor=1, nx=6, ny=3, nz=3)
     u, _ = solve_elastic(mesh, ElasticParams())
     top = mesh.boundary_nodes(FaceTag.TOP)
-    np.testing.assert_allclose(u.values[top, 2], -0.06 * 25.0)
-    assert np.max(np.abs(u.values[:, 2])) == pytest.approx(1.5)
+    np.testing.assert_allclose(u[top, 2], -0.06 * 25.0)
+    assert np.max(np.abs(u[:, 2])) == pytest.approx(1.5)
 
 
 def test_deform_mesh_and_volume_change():
@@ -237,7 +236,7 @@ def test_deform_mesh_and_volume_change():
     # exact identity: per-element volume ratio is det(I + grad u)
     p = mesh.nodes[mesh.tets]
     jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0]], axis=1)
-    uq = u.values[mesh.tets]
+    uq = u[mesh.tets]
     du = np.stack([uq[:, 1] - uq[:, 0], uq[:, 2] - uq[:, 0], uq[:, 3] - uq[:, 0]], axis=1)
     grad_u = np.linalg.solve(jac, du)  # rows: d(u)/d(edge basis) -> full grad
     det_ratio = np.linalg.det(np.eye(3)[None] + grad_u)
@@ -247,9 +246,9 @@ def test_deform_mesh_and_volume_change():
 
 def test_deform_identity_and_translation():
     mesh = decagon_mesh(factor=1, nx=4, ny=2, nz=2)
-    zero = VectorField(mesh, np.zeros((mesh.n_nodes, 3)))
+    zero = np.zeros((mesh.n_nodes, 3))
     np.testing.assert_array_equal(deform_mesh(mesh, zero).nodes, mesh.nodes)
-    shift = VectorField(mesh, np.tile([1.0, -2.0, 0.5], (mesh.n_nodes, 1)))
+    shift = np.tile([1.0, -2.0, 0.5], (mesh.n_nodes, 1))
     np.testing.assert_allclose(
         deform_mesh(mesh, shift).tet_volumes(), mesh.tet_volumes(), rtol=1e-12
     )
@@ -260,7 +259,19 @@ def test_deform_rejects_inversion():
     u = np.zeros((mesh.n_nodes, 3))
     u[:, 2] = -2.0 * mesh.nodes[:, 2]  # flips the block
     with pytest.raises(DeformationError):
-        deform_mesh(mesh, VectorField(mesh, u))
+        deform_mesh(mesh, u)
+
+
+def test_deform_rejects_a_wrong_shape_or_non_finite_displacement():
+    mesh = decagon_mesh(factor=1, nx=4, ny=2, nz=2)
+    with pytest.raises(ParameterError):
+        deform_mesh(mesh, np.zeros(3 * mesh.n_nodes))  # flat, as the solve holds it
+    with pytest.raises(ParameterError):
+        deform_mesh(mesh, np.zeros((mesh.n_nodes - 1, 3)))
+    u = np.zeros((mesh.n_nodes, 3))
+    u[5, 1] = np.inf
+    with pytest.raises(ParameterError):
+        deform_mesh(mesh, u)
 
 
 def test_surface_values_reproduces_nodal_temperatures():
@@ -315,7 +326,7 @@ def test_cold_and_warm_plan_solves_are_bit_identical(family, monkeypatch):
         moved = deform_mesh(mesh, u)
         direct, _ = solve_heat(moved, ThermalParams(), method="direct")
         pcg, _ = solve_heat(moved, ThermalParams(), method="pcg")
-        return u.values, direct.values, pcg.values
+        return u, direct.values, pcg.values
 
     cold = solve_all()
     assert len(fem._last_plan) == 2  # one elastic and one thermal plan
@@ -330,9 +341,9 @@ def test_plan_shared_within_a_level_and_rebuilt_across_levels(monkeypatch):
     builds = []
     real = fem._build_plan
 
-    def counting(mesh, kind):
-        builds.append((mesh.n_tets, kind))
-        return real(mesh, kind)
+    def counting(n_nodes, bs, groups, fixed):
+        builds.append((groups[0].shape[0], bs))
+        return real(n_nodes, bs, groups, fixed)
 
     monkeypatch.setattr(fem, "_build_plan", counting)
     params = ElasticParams()
@@ -346,12 +357,36 @@ def test_plan_shared_within_a_level_and_rebuilt_across_levels(monkeypatch):
 
     # a plan of the other kind does not displace the last elastic plan
     solve_heat(family_mesh(ShapeFamily.STAR_POLYGON, 5, spec=(4, 2, 2, 1)), ThermalParams())
-    assert len(builds) == 3 and builds[2][1] == "thermal"
+    assert len(builds) == 3 and builds[2][1] == 1  # the thermal plan
     solve_elastic(finer, params)
     assert len(builds) == 3
     # only the last plan of each kind is kept: the first topology is built again
     solve_elastic(family_mesh(ShapeFamily.STAR_POLYGON, 5), params)
     assert len(builds) == 4 and builds[3] == builds[0]
+
+
+def test_plan_follows_the_dirichlet_unknowns_not_only_the_tets(monkeypatch):
+    monkeypatch.setattr(fem, "_last_plan", {})
+    mesh = family_mesh(ShapeFamily.STAR_POLYGON, 5)
+
+    def relabel(old, new):
+        tags = mesh.face_tags.copy()
+        tags[tags == old] = new
+        return replace(mesh, face_tags=tags)
+
+    cases = (
+        # the plane's u_x = 0 goes: the same tets, fewer elastic Dirichlet unknowns
+        (fem._elastic_system, ElasticParams(), relabel(FaceTag.SYMMETRY, FaceTag.SIDE_X0)),
+        # the bottom's T = t_bottom goes: no thermal Dirichlet unknown is left
+        (fem._thermal_system, ThermalParams(), relabel(FaceTag.BOTTOM, FaceTag.SIDE_X0)),
+    )
+    for system, params, other in cases:
+        plan = system(mesh, params)[0]
+        assert system(mesh, params)[0] is plan
+        other_plan = system(other, params)[0]
+        assert other_plan is not plan
+        assert other_plan.free.sum() > plan.free.sum()
+        assert system(mesh, params)[0] is not other_plan
 
 
 def test_assembled_reduced_systems_match_block_reference():
@@ -381,8 +416,8 @@ def test_mirrored_half_solve_matches_whole_block_solve(family):
 
     u_half, _ = solve_elastic(half, ElasticParams())
     u_whole, _ = solve_elastic(whole, ElasticParams())
-    close(u_whole.values[:n], u_half.values)
-    close(u_whole.values[image], u_half.values * np.array([-1.0, 1.0, 1.0]))
+    close(u_whole[:n], u_half)
+    close(u_whole[image], u_half * np.array([-1.0, 1.0, 1.0]))
 
     params = ThermalParams()
     t_half, _ = solve_heat(deform_mesh(half, u_half), params, method="direct")

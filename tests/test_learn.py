@@ -268,3 +268,7 @@ def test_report_outputs(tmp_path):
     text = (tmp_path / "r.csv").read_text().splitlines()
     assert text[0] == "metric,value"
     assert text[1].startswith("rmse,")
+    # one row per EvalReport field, in the order the report files have always had
+    assert [line.split(",")[0] for line in text[1:]] == [
+        "rmse", "mse", "mean_err", "variance", "std", "rounded_accuracy", "count"
+    ]

@@ -125,6 +125,13 @@ def test_config_rejects_values_of_the_wrong_type(name, value):
         config_from_json(json.dumps(doc))
 
 
+def test_learn_spec_rejects_a_negative_split_seed():
+    with pytest.raises(ParameterError, match="split_seed"):
+        LearnSpec(split_seed=-1)
+    with pytest.raises(ParameterError, match="split_seed"):
+        config_from_json(json.dumps({"learn": {"split_seed": -1}}))
+
+
 def test_config_takes_an_integer_for_a_float_unconverted():
     # a conversion would change the hash of existing configs, and so their resume
     cfg = config_from_json(json.dumps({"tissue": {"x_len": 120}}))
@@ -236,11 +243,14 @@ def test_manifest_records_solver_stats_and_stage_timings(tmp_path, caplog):
             place_prism(tumor_shape(cfg, POLY, n), cfg.tissue), refinement_spec(cfg, POLY)
         )
         # the heat solve runs on the deformed mesh, which keeps the topology
-        for solve, kind in (("elastic", "elastic"), ("heat", "thermal")):
+        systems = {
+            "elastic": fem._elastic_system(mesh, cfg.elastic),
+            "heat": fem._thermal_system(mesh, cfg.thermal),
+        }
+        for solve, (plan, *_) in systems.items():
             stats = entry[solve]
             assert 0.0 <= stats["final_residual"] <= 1e-10
             assert stats["iterations"] == 0  # both solves are direct
-            plan = fem._scatter_plan(mesh, kind)
             assert (stats["n_free"], stats["band"]) == (plan.perm.size, plan.band)
     lines = [r.getMessage() for r in caplog.records if r.name == "tactherm.pipeline"]
     assert len(lines) == 2
@@ -483,6 +493,22 @@ def test_make_figures_requires_artifacts(tmp_path):
     assert not (tmp_path / "out" / "figures").exists()
 
 
+# polygon n = 3 is an overlaid profile, n = 6 the contour model
+@pytest.mark.parametrize("n, name, value", [
+    (3, "profile.csv", "nan"),
+    (6, "section.csv", "inf"),
+])
+def test_make_figures_rejects_non_finite_artifact_values(tmp_path, n, name, value):
+    cfg = tiny_config(tmp_path / "out")
+    run_sweep(cfg, (POLY, STAR))
+    victim = tmp_path / "out" / "models" / model_id(POLY, n) / name
+    lines = victim.read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:-1] + [value])
+    victim.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ArtifactError, match=f"{name}.*not finite"):
+        make_figures(cfg)
+
+
 def test_make_figures_requires_contour_section(tmp_path):
     cfg = tiny_config(tmp_path / "out")
     run_sweep(cfg, (POLY, STAR))
@@ -540,9 +566,9 @@ def test_level0_models_are_mirror_symmetric_and_share_one_plan(monkeypatch):
     builds = []
     real = fem._build_plan
 
-    def counting(mesh, kind):
-        builds.append(kind)
-        return real(mesh, kind)
+    def counting(n_nodes, bs, groups, fixed):
+        builds.append(bs)
+        return real(n_nodes, bs, groups, fixed)
 
     monkeypatch.setattr(fem, "_build_plan", counting)
     for family in (POLY, STAR):
@@ -562,4 +588,4 @@ def test_level0_models_are_mirror_symmetric_and_share_one_plan(monkeypatch):
         # ncx 23 across the block: x = 60 replaced the plane below it
         assert result.elements == 2 * mesh.n_tets == 21_120
         assert result.nodes == 2 * mesh.n_nodes - plane.size
-    assert sorted(builds) == ["elastic", "thermal"]  # both families, one plan each
+    assert sorted(builds) == [1, 3]  # both families, one thermal and one elastic plan
