@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -88,6 +89,17 @@ def _int_from(low: int):
     return parse
 
 
+def _finite_float(value: str) -> float:
+    """An argparse type: a float other than nan and +-inf."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(f"must be a finite number, not {value}")
+    return number
+
+
+_finite_float.__name__ = "float"  # argparse names it in "invalid float value"
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tactherm", description=__doc__.splitlines()[0])
     parser.add_argument("--config", type=Path, help="JSON study config")
@@ -109,7 +121,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--family", required=True, type=_family)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--level", type=int, default=None)
-    p.add_argument("--ambient", type=float, default=None, help="override t_ambient")
+    p.add_argument("--ambient", type=_finite_float, default=None, help="override t_ambient")
     p.add_argument("--energy", action="store_true", help="also report energy balance")
 
     p = sub.add_parser("sweep", help="run the full shape sweep for one family")
@@ -125,7 +137,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=_int_from(0), default=None)
 
     p = sub.add_parser("calibrate", help="solve for the ambient matching a target T_max")
-    p.add_argument("--target", type=float, default=29.7)
+    p.add_argument("--target", type=_finite_float, default=29.7)
 
     p = sub.add_parser("figures", help="emit SVG figures and their CSV companions")
 

@@ -4,8 +4,8 @@ Runs the two shape sweeps (n = 3..100 per family), the mesh-independence
 study, the RBF learning stage, and figure generation, all driven by a single
 JSON-serializable StudyConfig. Every artifact is written atomically with
 deterministic formatting, and a manifest makes sweeps resumable: models
-already completed under the same config and BLAS thread setting are not
-solved again.
+already completed under the same config, code and BLAS thread setting are
+not solved again.
 
 Models are independent jobs. A pooled command starts one process pool for
 all the families it sweeps and submits every pending model up front; the
@@ -25,7 +25,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +105,6 @@ CONTOUR_MODEL_N = 10
 # section.csv keeps the nodes within this distance of the mid-plane y = Y/2:
 # the slab the contour figure resamples
 SECTION_HALF_WIDTH_MM = 2.5
-MODEL_ARTIFACTS = ("profile", "section")
 # run_sweep rewrites the manifest at most this often while models finish,
 # and once more at the end; each rewrite holds every entry so far
 MANIFEST_SAVE_INTERVAL_S = 1.0
@@ -200,18 +199,20 @@ class StudyConfig:
 
 def _check_type(name: str, default, value) -> None:
     """Raise ParameterError unless value has the JSON type of the field's
-    default; a float field takes an int too, and a ladder is a list of
-    4-integer lists. Nothing is converted, so a config hashes as before."""
+    default; a float field takes a finite int or float (JSON's NaN, Infinity
+    and 1e400 are floats too), and a ladder is a list of 4-integer lists.
+    Nothing is converted, so a config hashes as before."""
     if isinstance(default, float):
-        ok = type(value) in (int, float)
+        ok, want = _is_finite_number(value), "a finite number"
     elif isinstance(default, (int, str)):
-        ok = type(value) is type(default)
+        ok, want = type(value) is type(default), f"of the type of {default!r}"
     else:
+        want = "a list of 4-integer lists"
         ok = isinstance(value, list) and all(
             isinstance(e, list) and len(e) == 4 and all(type(v) is int for v in e) for e in value
         )
     if not ok:
-        raise ParameterError(f"config value {name} must have the type of {default!r}: {value!r}")
+        raise ParameterError(f"config value {name} must be {want}: {value!r}")
 
 
 def config_from_dict(data: dict) -> StudyConfig:
@@ -268,9 +269,20 @@ def save_config(cfg: StudyConfig, path) -> None:
     atomic_write_text(path, config_to_json(cfg))
 
 
+@cache
+def _code_digest() -> str:
+    """sha256 of the package's source files, by name in sorted order; read
+    once per process."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def config_hash(cfg: StudyConfig) -> str:
-    """Canonical digest of the config and the BLAS thread setting; sweeps
-    resume only when both are identical, because the banded Cholesky factor's
+    """Canonical digest of the config, the package's code and the BLAS
+    thread setting; sweeps resume only when all three are identical, because
+    a code change can change any result and the banded Cholesky factor's
     last bits depend on the BLAS thread count. out_dir and learn are left
     out: neither changes a solved model, so a copied output directory resumes
     and a new learn split re-solves nothing."""
@@ -278,6 +290,7 @@ def config_hash(cfg: StudyConfig) -> str:
     del config["out_dir"], config["learn"]
     doc = {
         "config": config,
+        "code": _code_digest(),
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -408,7 +421,7 @@ def _is_finite_number(value) -> bool:
 def _check_entry(path: Path, mid: str, entry) -> None:
     """ArtifactError naming the model unless the entry holds what the
     readers index: a status, and for an ok entry its dataset row as finite
-    numbers and its artifact paths as strings."""
+    numbers and its artifact paths as strings, a profile among them."""
     if not isinstance(entry, dict) or "status" not in entry:
         raise ArtifactError(f"manifest {path}: entry {mid} is not an object with a status")
     if entry["status"] != "ok":
@@ -421,9 +434,8 @@ def _check_entry(path: Path, mid: str, entry) -> None:
     if not isinstance(sig, dict) or not all(_is_finite_number(sig.get(f)) for f in FEATURE_NAMES):
         bad.append("signature")
     arts = entry.get("artifacts")
-    if not isinstance(arts, dict) or not all(
-        isinstance(arts.get(kind), str) for kind in MODEL_ARTIFACTS
-    ):
+    if not (isinstance(arts, dict) and "profile" in arts
+            and all(isinstance(rel, str) for rel in arts.values())):
         bad.append("artifacts")
     if bad:
         raise ArtifactError(
@@ -463,9 +475,9 @@ class RunManifest:
             if strict:
                 threads = ", ".join(f"{v}={os.environ.get(v)}" for v in BLAS_THREAD_VARS)
                 raise ArtifactError(
-                    f"manifest {path} was written under another config or BLAS thread "
-                    f"setting (config_hash differs; this run has {threads}); re-run the "
-                    "sweep with the same config and thread variables"
+                    f"manifest {path} was written under another config, code version or "
+                    f"BLAS thread setting (config_hash differs; this run has {threads}); "
+                    "re-run the sweep with this code and the same config and thread variables"
                 )
             return cls(path, cfg_hash)
         models = data.get("models", {})
@@ -508,13 +520,9 @@ class RunManifest:
         }
 
     def has_artifacts(self, mid: str, out_dir) -> bool:
-        """True when the model completed and all its artifact files exist."""
-        if not self.completed(mid):
-            return False
-        arts = self.models[mid]["artifacts"]
-        return all(
-            (Path(out_dir) / arts[kind]).exists()
-            for kind in MODEL_ARTIFACTS
+        """True when the model completed and every file its entry lists exists."""
+        return self.completed(mid) and all(
+            (Path(out_dir) / rel).exists() for rel in self.models[mid]["artifacts"].values()
         )
 
 
@@ -531,28 +539,37 @@ class SweepResult:
     failed: tuple  # (model id, message) pairs
 
 
-def _write_model_artifacts(out_dir: Path, result: ModelResult, y_mid_mm: float) -> dict:
-    """Centerline profile and mid-plane section of one model; one path per
-    MODEL_ARTIFACTS kind. The section covers the whole block: the solved
-    half's nodes, then their mirror images, the plane nodes written once."""
+def _contour_model(cfg: StudyConfig) -> str:
+    """The model whose mid-plane section the contour figure shows: the first
+    family's model closest to CONTOUR_MODEL_N, ties toward smaller n."""
+    pick = min(cfg.sweep.values(), key=lambda n: (abs(n - CONTOUR_MODEL_N), n))
+    return model_id(tuple(ShapeFamily)[0], pick)
+
+
+def _write_model_artifacts(out_dir: Path, result: ModelResult, section_y_mm: float | None) -> dict:
+    """Centerline profile of one model and, given section_y_mm, its section
+    at that mid-plane; the path of each file written, by kind. The section
+    covers the whole block: the solved half's nodes, then their mirror
+    images, the plane nodes written once."""
     rel_dir = Path("models") / result.model_id
     (out_dir / rel_dir).mkdir(parents=True, exist_ok=True)
-    profile_rel = rel_dir / "profile.csv"
-    section_rel = rel_dir / "section.csv"
+    arts = {"profile": str(rel_dir / "profile.csv")}
     write_csv(
-        out_dir / profile_rel,
+        out_dir / arts["profile"],
         PROFILE_COLUMNS,
         list(zip(result.profile.positions, result.profile.temps)),
     )
-    mesh = result.field.mesh
-    x, z, t = mesh.nodes[:, 0], mesh.nodes[:, 2], result.field.values
-    keep = np.abs(mesh.nodes[:, 1] - y_mid_mm) <= SECTION_HALF_WIDTH_MM
-    mirror = keep.copy()  # the plane nodes are their own mirror images
-    mirror[mesh.boundary_nodes(FaceTag.SYMMETRY)] = False
-    rows = list(zip(x[keep], z[keep], t[keep]))
-    rows += zip(2.0 * mesh.symmetry_x - x[mirror], z[mirror], t[mirror])
-    write_csv(out_dir / section_rel, SECTION_COLUMNS, rows)
-    return {"profile": str(profile_rel), "section": str(section_rel)}
+    if section_y_mm is not None:
+        arts["section"] = str(rel_dir / "section.csv")
+        mesh = result.field.mesh
+        x, z, t = mesh.nodes[:, 0], mesh.nodes[:, 2], result.field.values
+        keep = np.abs(mesh.nodes[:, 1] - section_y_mm) <= SECTION_HALF_WIDTH_MM
+        mirror = keep.copy()  # the plane nodes are their own mirror images
+        mirror[mesh.boundary_nodes(FaceTag.SYMMETRY)] = False
+        rows = list(zip(x[keep], z[keep], t[keep]))
+        rows += zip(2.0 * mesh.symmetry_x - x[mirror], z[mirror], t[mirror])
+        write_csv(out_dir / arts["section"], SECTION_COLUMNS, rows)
+    return arts
 
 
 def run_sweep(
@@ -573,6 +590,7 @@ def run_sweep(
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out_dir / "config.json")
     manifest = RunManifest.load(out_dir / "manifest.json", config_hash(cfg))
+    contour = _contour_model(cfg)
 
     orders = cfg.sweep.values()
     pending = [
@@ -597,7 +615,8 @@ def run_sweep(
             failed[family].append((mid, message))
             log.warning("%s failed: %s", mid, message)
         else:
-            artifacts = _write_model_artifacts(out_dir, result, cfg.tissue.y_len / 2.0)
+            y_mid = cfg.tissue.y_len / 2.0 if mid == contour else None
+            artifacts = _write_model_artifacts(out_dir, result, y_mid)
             manifest.record_ok(result, artifacts)
             solved[family].append(mid)
             stages = ", ".join(f"{k} {v:.2f}" for k, v in result.stage_s.items())
@@ -927,10 +946,10 @@ def make_figures(cfg: StudyConfig) -> tuple:
             y_label="normalized value",
         )
 
-    # --- mid cross-section contour of the reference model (the first
-    # family's model closest to n=10, ties toward smaller n)
-    pick = min(orders, key=lambda n: (abs(n - CONTOUR_MODEL_N), n))
-    mid = model_id(families[0], pick)
+    # --- mid cross-section contour of the one model with a section
+    mid = _contour_model(cfg)
+    if "section" not in manifest.models[mid]["artifacts"]:
+        raise ArtifactError(f"manifest entry {mid} lists no section.csv", missing=[mid])
     path = out_dir / manifest.models[mid]["artifacts"]["section"]
     x, z, t = _read_float_table(path, SECTION_COLUMNS).T
     grid_x = np.linspace(x.min(), x.max(), 61)

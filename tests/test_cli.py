@@ -98,6 +98,22 @@ def test_negative_seed_or_worker_count_exits_1_before_any_work(tiny_cfg_path, tm
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["calibrate", "--target", "nan"],
+    ["calibrate", "--target", "inf"],
+    ["solve", "--family", "polygon", "--n", "5", "--ambient=-inf"],
+    ["solve", "--family", "polygon", "--n", "5", "--ambient", "NaN"],
+])
+def test_non_finite_temperature_flags_exit_1_before_any_work(tiny_cfg_path, args):
+    proc = subprocess.run(
+        [sys.executable, "-m", "tactherm.cli", "--config", str(tiny_cfg_path), *args],
+        env=_fresh_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "must be a finite number" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
 def test_geometry_and_mesh_commands(tiny_cfg_path, tmp_path, capsys):
     csv = tmp_path / "poly.csv"
     assert cli.main(["--config", str(tiny_cfg_path), "geometry",
@@ -171,6 +187,27 @@ def test_damaged_artifacts_exit_3(tiny_cfg_path, tmp_path, capsys):
                         ["learn", "--family", "polygon"]):
             assert cli.main(["--config", c, *command]) == 3
             assert mid in capsys.readouterr().err
+
+
+def test_contour_entry_without_its_section_exits_3(tiny_cfg_path, tmp_path, capsys):
+    c = str(tiny_cfg_path)
+    assert cli.main(["--config", c, "all"]) == 0
+    manifest = tmp_path / "out" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    # polygon n = 6 is the model of the sweep closest to n = 10
+    del doc["models"]["polygon-n006"]["artifacts"]["section"]
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["--config", c, "figures"]) == 3
+    assert "polygon-n006" in capsys.readouterr().err
+
+
+def test_learn_after_a_code_change_exits_3(tiny_cfg_path, monkeypatch, capsys):
+    c = str(tiny_cfg_path)
+    assert cli.main(["--config", c, "sweep", "--family", "polygon"]) == 0
+    monkeypatch.setattr(pipeline, "_code_digest", lambda: "0" * 64)
+    assert cli.main(["--config", c, "learn", "--family", "polygon"]) == 3
+    assert "code version" in capsys.readouterr().err
 
 
 def test_figures_under_another_thread_setting_exits_3(tiny_cfg_path, monkeypatch, capsys):

@@ -3,6 +3,7 @@ mesh study, ambient calibration, learning persistence, and figures."""
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -117,12 +118,21 @@ def test_config_rejects_unknown_keys():
     ("refinement.star", [[13, 6, 4]]),
     ("refinement.star", [13, 6, 4, 3]),
     ("out_dir", None),
+    # JSON's NaN and Infinity parse as floats; none is a usable value
+    ("thermal.t_ambient", math.nan),
+    ("tissue.x_len", math.inf),
+    ("elastic.applied_strain", -math.inf),
 ])
 def test_config_rejects_values_of_the_wrong_type(name, value):
     section, _, key = name.partition(".")
     doc = {section: {key: value}} if key else {section: value}
     with pytest.raises(ParameterError, match=name):
         config_from_json(json.dumps(doc))
+
+
+def test_config_rejects_a_number_that_overflows_to_infinity():
+    with pytest.raises(ParameterError, match="thermal.q_tumor must be a finite number"):
+        config_from_json('{"thermal": {"q_tumor": 1e400}}')
 
 
 def test_learn_spec_rejects_a_negative_split_seed():
@@ -158,14 +168,15 @@ def test_sweep_solves_resumes_and_builds_dataset(tmp_path):
     assert first.dataset.features.shape == (4, 10)
     assert list(first.dataset.targets) == [3.0, 4.0, 5.0, 6.0]
     assert first.csv_path.exists()
+    models = tmp_path / "out" / "models"
     for n in (3, 4, 5, 6):
-        model_dir = tmp_path / "out" / "models" / model_id(POLY, n)
-        assert (model_dir / "section.csv").exists()
-        assert (model_dir / "profile.csv").exists()
-        assert not (model_dir / "field.csv").exists()
+        assert (models / model_id(POLY, n) / "profile.csv").exists()
+    assert not list(models.glob("*/field.csv"))
+    # only the contour model, the one closest to n = 10, has a section
+    assert [p.parent.name for p in models.glob("*/section.csv")] == [model_id(POLY, 6)]
     # the section covers the whole block: the solved half, then its mirror
     # image, the x = 60 mm plane nodes once
-    section = np.loadtxt(model_dir / "section.csv", delimiter=",", skiprows=1)
+    section = np.loadtxt(models / model_id(POLY, 6) / "section.csv", delimiter=",", skiprows=1)
     left = section[section[:, 0] < 60.0]
     right = section[section[:, 0] > 60.0] * np.array([-1.0, 1.0, 1.0]) + np.array([120.0, 0.0, 0.0])
     assert len(left) == len(right) > 0
@@ -207,6 +218,34 @@ def test_sweep_resolves_models_with_missing_artifacts(tmp_path):
     assert healed.solved == (model_id(POLY, 5),)
     assert len(healed.skipped) == 3
     assert victim.exists()
+
+
+def test_sweep_resolves_the_contour_model_without_its_section(tmp_path):
+    cfg = tiny_config(tmp_path / "out")
+    run_sweep(cfg, (POLY,))
+    contour = model_id(POLY, 6)
+    victim = tmp_path / "out" / "models" / contour / "section.csv"
+    before = victim.read_bytes()
+    victim.unlink()
+
+    (healed,) = run_sweep(cfg, (POLY,))
+    assert healed.solved == (contour,) and len(healed.skipped) == 3
+    assert victim.read_bytes() == before
+    entry = json.loads((tmp_path / "out" / "manifest.json").read_text())["models"][contour]
+    assert entry["artifacts"]["section"] == str(Path("models") / contour / "section.csv")
+
+
+def test_code_change_invalidates_resume(tmp_path, monkeypatch):
+    # rows solved by other code must not be mixed into a resumed sweep, nor
+    # read by learn or figures
+    cfg = tiny_config(tmp_path / "out")
+    run_sweep(cfg, (POLY,))
+    monkeypatch.setattr(pipeline, "_code_digest", lambda: "0" * 64)
+    with pytest.raises(ArtifactError, match="code version"):
+        load_dataset(cfg, POLY)
+    (redo,) = run_sweep(cfg, (POLY,))
+    assert len(redo.solved) == 4 and not redo.skipped
+    assert len(load_dataset(cfg, POLY).targets) == 4
 
 
 def test_blas_thread_setting_invalidates_resume(tmp_path, monkeypatch):
@@ -521,6 +560,20 @@ def test_make_figures_requires_contour_section(tmp_path):
     assert not (tmp_path / "out" / "figures").exists()
 
 
+def test_make_figures_requires_the_contour_entry_to_list_its_section(tmp_path):
+    cfg = tiny_config(tmp_path / "out")
+    run_sweep(cfg, (POLY, STAR))
+    contour = model_id(POLY, 6)
+    manifest = tmp_path / "out" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    del doc["models"][contour]["artifacts"]["section"]
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError, match=contour) as err:
+        make_figures(cfg)
+    assert err.value.missing == [contour]
+    assert not (tmp_path / "out" / "figures").exists()
+
+
 def test_sweep_with_worker_pool_matches_serial(tmp_path):
     serial = tiny_config(tmp_path / "serial", stop=5)
     pooled = tiny_config(tmp_path / "pooled", stop=5)
@@ -550,11 +603,33 @@ def test_sweep_pool_is_sized_to_pending_models(tmp_path, monkeypatch):
     (resumed,) = run_sweep(cfg, (STAR,), workers=3)
     assert resumed.solved == ("star-n004",) and pools == [3]  # one model: serial
     for mid in ("polygon-n003", "star-n003"):
-        (models / mid / "section.csv").unlink()
+        (models / mid / "profile.csv").unlink()
     resumed = run_sweep(cfg, (POLY, STAR), workers=3)
     assert [r.solved for r in resumed] == [("polygon-n003",), ("star-n003",)]
     assert [r.skipped for r in resumed] == [("polygon-n004",), ("star-n004",)]
     assert pools == [3, 2]
+
+
+@pytest.mark.parametrize("n", [3, 7, 10, 40])
+def test_star_with_edge_midpoint_inner_vertices_is_the_polygon(n):
+    """A star whose inner radius is the n-gon's circumradius times cos(pi/n)
+    is that n-gon with extra vertices at its edge midpoints. With the sweep
+    starting at n, both families place the same refinement window, so both
+    models solve one problem: no oracle needed."""
+    cfg = StudyConfig()
+    rc = math.sqrt(2.0 * cfg.geometry.base_area_mm2 / (n * math.sin(2.0 * math.pi / n)))
+    cfg = dataclasses.replace(
+        cfg,
+        geometry=dataclasses.replace(cfg.geometry, star_inner_radius_mm=rc * math.cos(math.pi / n)),
+        sweep=SweepSpec(n, 1, n),
+    )
+    poly, star = (run_model(cfg, family, n) for family in (POLY, STAR))
+    np.testing.assert_allclose(star.field.mesh.nodes, poly.field.mesh.nodes, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(star.field.values, poly.field.values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        star.signature.features(), poly.signature.features(), rtol=0, atol=1e-10
+    )
+    assert star.t_max_c == pytest.approx(poly.t_max_c, rel=0, abs=1e-10)
 
 
 def test_level0_models_are_mirror_symmetric_and_share_one_plan(monkeypatch):
