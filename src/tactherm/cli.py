@@ -155,6 +155,17 @@ def _load(args) -> StudyConfig:
     return cfg
 
 
+def _check_learn_split(cfg: StudyConfig) -> None:
+    """ParameterError unless the learn split takes each family's whole sweep
+    slice, as split_dataset requires; checked before any model is solved."""
+    train, test, size = cfg.learn.train_size, cfg.learn.test_size, len(cfg.sweep.values())
+    if train + test != size:
+        raise ParameterError(
+            f"learn.train_size {train} + learn.test_size {test} must equal the "
+            f"sweep slice size, {size} models per family"
+        )
+
+
 def _cmd_geometry(cfg, args) -> int:
     shape = tumor_shape(cfg, args.family, args.n)
     poly = shape.base_polygon()
@@ -229,6 +240,7 @@ def _cmd_mesh_study(cfg, args) -> int:
 
 
 def _cmd_learn(cfg, args) -> int:
+    _check_learn_split(cfg)
     dataset = load_dataset(cfg, args.family)
     result = run_learning(dataset, cfg, seed=args.seed)
     tr, te = result.train_report, result.test_report
@@ -257,6 +269,7 @@ def _cmd_figures(cfg, _args) -> int:
 
 
 def _cmd_all(cfg, args) -> int:
+    _check_learn_split(cfg)
     families = tuple(ShapeFamily)
     failures = []
     for family, result in zip(families, run_sweep(cfg, families, workers=args.workers)):
@@ -301,7 +314,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParameterError, PlacementError, FileNotFoundError) as exc:
+    except (ParameterError, PlacementError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _SOLVER_ERRORS as exc:

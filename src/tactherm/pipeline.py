@@ -262,7 +262,11 @@ def config_from_json(text: str) -> StudyConfig:
 
 
 def load_config(path) -> StudyConfig:
-    return config_from_json(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"config {path} is not UTF-8 text: {exc}") from exc
+    return config_from_json(text)
 
 
 def save_config(cfg: StudyConfig, path) -> None:
@@ -467,6 +471,8 @@ class RunManifest:
             return cls(path, cfg_hash)
         try:
             data = json.loads(path.read_text())
+        except OSError as exc:  # a directory, no read permission
+            raise ArtifactError(f"manifest {path} cannot be read: {exc}") from exc
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ArtifactError(f"manifest {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict) or not isinstance(data.get("models", {}), dict):
@@ -519,12 +525,6 @@ class RunManifest:
             "message": message,
         }
 
-    def has_artifacts(self, mid: str, out_dir) -> bool:
-        """True when the model completed and every file its entry lists exists."""
-        return self.completed(mid) and all(
-            (Path(out_dir) / rel).exists() for rel in self.models[mid]["artifacts"].values()
-        )
-
 
 # ---------------------------------------------------------------------------
 # sweep
@@ -546,11 +546,27 @@ def _contour_model(cfg: StudyConfig) -> str:
     return model_id(tuple(ShapeFamily)[0], pick)
 
 
+def _unfinished(cfg: StudyConfig, manifest: RunManifest, families) -> list:
+    """The (family, n) sweep models of the families that are not finished, in
+    that order. A model is finished when its manifest entry is ok, lists a
+    section exactly when the model is _contour_model(cfg), and every file it
+    lists exists."""
+    out_dir, contour = Path(cfg.out_dir), _contour_model(cfg)
+
+    def finished(mid: str) -> bool:
+        arts = manifest.models[mid]["artifacts"] if manifest.completed(mid) else None
+        return arts is not None and ("section" in arts) == (mid == contour) and all(
+            (out_dir / rel).exists() for rel in arts.values()
+        )
+
+    return [(f, n) for f in families for n in cfg.sweep.values() if not finished(model_id(f, n))]
+
+
 def _write_model_artifacts(out_dir: Path, result: ModelResult, section_y_mm: float | None) -> dict:
     """Centerline profile of one model and, given section_y_mm, its section
-    at that mid-plane; the path of each file written, by kind. The section
-    covers the whole block: the solved half's nodes, then their mirror
-    images, the plane nodes written once."""
+    at that mid-plane, else no section.csv; the path of each file written,
+    by kind. The section covers the whole block: the solved half's nodes,
+    then their mirror images, the plane nodes written once."""
     rel_dir = Path("models") / result.model_id
     (out_dir / rel_dir).mkdir(parents=True, exist_ok=True)
     arts = {"profile": str(rel_dir / "profile.csv")}
@@ -559,7 +575,9 @@ def _write_model_artifacts(out_dir: Path, result: ModelResult, section_y_mm: flo
         PROFILE_COLUMNS,
         list(zip(result.profile.positions, result.profile.temps)),
     )
-    if section_y_mm is not None:
+    if section_y_mm is None:
+        (out_dir / rel_dir / "section.csv").unlink(missing_ok=True)
+    else:
         arts["section"] = str(rel_dir / "section.csv")
         mesh = result.field.mesh
         x, z, t = mesh.nodes[:, 0], mesh.nodes[:, 2], result.field.values
@@ -578,27 +596,22 @@ def run_sweep(
     """Solve every sweep model of the given families and write one dataset
     CSV per family; one SweepResult per family, in the order given.
 
-    Completed models recorded in the manifest (same config hash) are skipped,
-    unless their artifact files have been removed — those are re-solved so the
-    disk always matches the manifest. Failures are recorded per model and the
-    sweep continues. With workers > 1 and more than one pending model, one
-    pool of at most `workers` processes solves the models of all families.
-    The manifest is saved at most every MANIFEST_SAVE_INTERVAL_S and once
-    when the loop ends, also when it is interrupted.
+    Exactly the models that are not finished are solved (_unfinished): a
+    finished model's manifest entry, under the same config hash, is ok, lists
+    a section exactly when the model is the contour model, and every file it
+    lists exists. Failures are recorded per model and the sweep continues.
+    With workers > 1 and more than one pending model, one pool of at most
+    `workers` processes solves the models of all families. The manifest is
+    saved at most every MANIFEST_SAVE_INTERVAL_S and once when the loop
+    ends, also when it is interrupted.
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out_dir / "config.json")
     manifest = RunManifest.load(out_dir / "manifest.json", config_hash(cfg))
     contour = _contour_model(cfg)
-
     orders = cfg.sweep.values()
-    pending = [
-        (family, n)
-        for family in families
-        for n in orders
-        if not manifest.has_artifacts(model_id(family, n), out_dir)
-    ]
+    pending = _unfinished(cfg, manifest, families)
     solved = {family: [] for family in families}
     failed = {family: [] for family in families}
     last_save = time.monotonic()
@@ -682,16 +695,14 @@ def _complete_manifest(cfg: StudyConfig, families) -> RunManifest:
     """The manifest of a finished sweep, for the readers that cannot re-solve.
 
     ArtifactError when it was written under another config or BLAS thread
-    setting, or when a model of the families is not ok with its artifact
-    files on disk; the error's `missing` lists those models.
+    setting, or when a model of the families is not finished (_unfinished,
+    which the sweep re-solves); the error's `missing` lists those models.
     """
-    out_dir = Path(cfg.out_dir)
-    manifest = RunManifest.load(out_dir / "manifest.json", config_hash(cfg), strict=True)
-    ids = [model_id(family, n) for family in families for n in cfg.sweep.values()]
-    missing = [mid for mid in ids if not manifest.has_artifacts(mid, out_dir)]
+    manifest = RunManifest.load(Path(cfg.out_dir) / "manifest.json", config_hash(cfg), strict=True)
+    missing = [model_id(family, n) for family, n in _unfinished(cfg, manifest, families)]
     if missing:
         raise ArtifactError(
-            f"sweep incomplete: {len(missing)} models not completed with artifacts: "
+            f"sweep incomplete: {len(missing)} models not finished: "
             f"{', '.join(missing[:5])}{', ...' if len(missing) > 5 else ''}",
             missing=missing,
         )
@@ -860,6 +871,8 @@ def _read_float_table(path: Path, columns: list) -> np.ndarray:
         if not np.isfinite(table).all():
             raise ValueError("a value is not finite")
         return table
+    except OSError as exc:  # a directory, no read permission
+        raise ArtifactError(f"table {path} cannot be read: {exc}") from exc
     except ValueError as exc:
         raise ArtifactError(f"malformed table {path}: {exc}") from exc
 
@@ -948,8 +961,6 @@ def make_figures(cfg: StudyConfig) -> tuple:
 
     # --- mid cross-section contour of the one model with a section
     mid = _contour_model(cfg)
-    if "section" not in manifest.models[mid]["artifacts"]:
-        raise ArtifactError(f"manifest entry {mid} lists no section.csv", missing=[mid])
     path = out_dir / manifest.models[mid]["artifacts"]["section"]
     x, z, t = _read_float_table(path, SECTION_COLUMNS).T
     grid_x = np.linspace(x.min(), x.max(), 61)

@@ -98,6 +98,58 @@ def test_negative_seed_or_worker_count_exits_1_before_any_work(tiny_cfg_path, tm
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+def test_a_learn_split_that_does_not_fit_the_slice_exits_1_before_any_work(tiny_cfg_path,
+                                                                          tmp_path, capsys):
+    doc = json.loads(tiny_cfg_path.read_text())
+    doc["sweep"]["stop"] = 4  # 2 models per family; the split takes 3 + 1
+    tiny_cfg_path.write_text(json.dumps(doc))
+    c = str(tiny_cfg_path)
+    for command in (["all"], ["learn", "--family", "polygon"]):
+        assert cli.main(["--config", c, *command]) == 1
+        err = capsys.readouterr().err
+        assert "learn.train_size 3 + learn.test_size 1" in err and "2 models" in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+    # a sweep alone takes no split
+    assert cli.main(["--config", c, "sweep", "--family", "polygon"]) == 0
+
+
+@pytest.mark.parametrize("case, args, code", [
+    ("config is a directory", ["geometry", "--family", "star", "--n", "5"], 1),
+    ("config is not UTF-8", ["geometry", "--family", "star", "--n", "5"], 1),
+    ("out is a file", ["sweep", "--family", "polygon"], 1),
+    ("manifest is a directory", ["sweep", "--family", "polygon"], 3),
+    ("manifest is a directory", ["learn", "--family", "polygon"], 3),
+    ("profile is a directory", ["figures"], 3),
+])
+def test_unreadable_input_exits_with_a_message(tiny_cfg_path, tmp_path, case, args, code):
+    config, out = tiny_cfg_path, tmp_path / "out"
+    if case == "config is a directory":
+        config = tmp_path
+    elif case == "config is not UTF-8":
+        config = tmp_path / "latin1.json"
+        config.write_bytes('{"out_dir": "\u00e9"}'.encode("latin-1"))
+    elif case == "out is a file":
+        out.write_text("")
+    elif case == "manifest is a directory":
+        (out / "manifest.json").mkdir(parents=True)
+    else:
+        for family in ("polygon", "star"):
+            assert cli.main(["--config", str(config), "sweep", "--family", family]) == 0
+        profile = out / "models" / "polygon-n003" / "profile.csv"  # an overlaid order
+        profile.unlink()
+        profile.mkdir()
+    # the thread setting of this process, under which the sweep above ran
+    env = _fresh_env(**{var: os.environ[var] for var in BLAS_THREAD_VARS})
+    proc = subprocess.run(
+        [sys.executable, "-m", "tactherm.cli", "--config", str(config), "--out", str(out),
+         *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code
+    assert ("error:" if code == 1 else "incomplete artifacts:") in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["calibrate", "--target", "nan"],
     ["calibrate", "--target", "inf"],

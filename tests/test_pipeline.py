@@ -235,6 +235,51 @@ def test_sweep_resolves_the_contour_model_without_its_section(tmp_path):
     assert entry["artifacts"]["section"] == str(Path("models") / contour / "section.csv")
 
 
+def _edit_entry(out: Path, mid: str, edit) -> None:
+    manifest = out / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    edit(doc["models"][mid]["artifacts"])
+    manifest.write_text(json.dumps(doc))
+
+
+def test_sweep_repairs_a_contour_entry_that_lists_no_section(tmp_path):
+    cfg = tiny_config(tmp_path / "out")
+    run_sweep(cfg, (POLY, STAR))
+    contour = model_id(POLY, 6)
+    _edit_entry(tmp_path / "out", contour, lambda arts: arts.pop("section"))
+
+    (healed,) = run_sweep(cfg, (POLY,))
+    assert healed.solved == (contour,) and len(healed.skipped) == 3
+    entry = json.loads((tmp_path / "out" / "manifest.json").read_text())["models"][contour]
+    assert entry["artifacts"]["section"] == str(Path("models") / contour / "section.csv")
+    assert len(make_figures(cfg)) == 14
+
+
+def test_sweep_resolves_a_non_contour_entry_that_lists_a_section(tmp_path):
+    cfg = tiny_config(tmp_path / "out")
+    run_sweep(cfg, (POLY,))
+    victim = model_id(POLY, 4)
+    section = str(Path("models") / model_id(POLY, 6) / "section.csv")  # an existing file
+    _edit_entry(tmp_path / "out", victim, lambda arts: arts.update(section=section))
+    with pytest.raises(ArtifactError, match=victim):
+        load_dataset(cfg, POLY)
+
+    (healed,) = run_sweep(cfg, (POLY,))
+    assert healed.solved == (victim,) and len(healed.skipped) == 3
+    entry = json.loads((tmp_path / "out" / "manifest.json").read_text())["models"][victim]
+    assert set(entry["artifacts"]) == {"profile"}
+    assert len(load_dataset(cfg, POLY).targets) == 4
+
+
+def test_a_wider_sweep_moves_the_one_section_to_its_contour_model(tmp_path):
+    run_sweep(tiny_config(tmp_path / "out"), (POLY,))
+    # the sweep section is part of the resume key: every model is solved again
+    (wider,) = run_sweep(tiny_config(tmp_path / "out", stop=12), (POLY,))
+    assert len(wider.solved) == 10
+    models = tmp_path / "out" / "models"
+    assert [p.parent.name for p in models.glob("*/section.csv")] == [model_id(POLY, 10)]
+
+
 def test_code_change_invalidates_resume(tmp_path, monkeypatch):
     # rows solved by other code must not be mixed into a resumed sweep, nor
     # read by learn or figures
